@@ -11,7 +11,7 @@ never pay compilation latency again.
 
 import time
 
-from benchmarks.conftest import write_report
+from benchmarks.conftest import FULL_SUITE, write_report
 from repro.experiments import format_table
 from repro.service import CompilationJob, CompilationService, CompilerOptions
 
@@ -54,7 +54,10 @@ def test_warm_cache_batch_speedup(uccsd_programs):
         f"   speedup: {speedup:.0f}x (required >= {MIN_SPEEDUP:.0f}x)"
     )
     print("\nService cache — Table-1 UCCSD suite\n" + table)
-    write_report("service_cache_speedup", table)
+    # Only the full Table I run records the table, so a default tier-1 run
+    # cannot overwrite the committed numbers with a small slice.
+    if FULL_SUITE:
+        write_report("service_cache_speedup", table)
 
     assert speedup >= MIN_SPEEDUP, (
         f"warm-cache batch only {speedup:.1f}x faster "

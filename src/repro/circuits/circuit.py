@@ -30,6 +30,23 @@ class QuantumCircuit:
         for gate in gates:
             self.append(gate)
 
+    @classmethod
+    def _trusted(cls, num_qubits: int, gates: Iterable[Gate] = ()) -> "QuantumCircuit":
+        """A circuit over ``gates`` without re-checking each gate.
+
+        Gates are validated where they enter the program: the public
+        constructor, :meth:`append`, the builder methods and the
+        deserializer.  Passes that only reorder, drop, invert or re-derive
+        gates of circuits at most ``num_qubits`` wide use this instead, since
+        every qubit they emit was already checked against that width.
+        """
+        if num_qubits <= 0:
+            raise ValueError("a circuit needs at least one qubit")
+        circuit = cls.__new__(cls)
+        circuit.num_qubits = int(num_qubits)
+        circuit._gates = list(gates)
+        return circuit
+
     # ------------------------------------------------------------------
     # Gate insertion
     # ------------------------------------------------------------------
@@ -40,7 +57,7 @@ class QuantumCircuit:
         return self
 
     def _add(self, name: str, qubits: Sequence[int], params: Sequence[float] = ()):
-        self.append(Gate(name, tuple(qubits), tuple(params)))
+        self.append(Gate(name, qubits, params))
         return self
 
     # 1Q fixed gates -----------------------------------------------------
@@ -148,17 +165,13 @@ class QuantumCircuit:
         """Append ``other``'s gates after this circuit's (same register)."""
         if other.num_qubits > self.num_qubits:
             raise ValueError("cannot compose a wider circuit onto a narrower one")
-        result = self.copy()
-        for gate in other:
-            result.append(gate)
-        return result
+        return QuantumCircuit._trusted(self.num_qubits, [*self._gates, *other])
 
     def inverse(self) -> "QuantumCircuit":
         """The inverse circuit (gates reversed and inverted)."""
-        result = QuantumCircuit(self.num_qubits)
-        for gate in reversed(self._gates):
-            result.append(gate.dagger())
-        return result
+        return QuantumCircuit._trusted(
+            self.num_qubits, [gate.dagger() for gate in reversed(self._gates)]
+        )
 
     def remapped(self, qubit_map: Dict[int, int], num_qubits: Optional[int] = None) -> "QuantumCircuit":
         """A copy with every qubit ``q`` relabelled to ``qubit_map[q]``."""
@@ -170,11 +183,13 @@ class QuantumCircuit:
         return result
 
     def copy(self) -> "QuantumCircuit":
-        return QuantumCircuit(self.num_qubits, self._gates)
+        return QuantumCircuit._trusted(self.num_qubits, self._gates)
 
     def filtered(self, predicate: Callable[[Gate], bool]) -> "QuantumCircuit":
         """A copy keeping only gates for which ``predicate`` returns True."""
-        return QuantumCircuit(self.num_qubits, [g for g in self._gates if predicate(g)])
+        return QuantumCircuit._trusted(
+            self.num_qubits, [g for g in self._gates if predicate(g)]
+        )
 
     # ------------------------------------------------------------------
     # Metrics

@@ -16,8 +16,7 @@ computed on demand.  The library covers
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -127,24 +126,75 @@ def two_qubit_pauli_rotation(pauli0: str, pauli1: str, theta: float) -> np.ndarr
     return _rotation(op, theta)
 
 
-@dataclass(frozen=True)
 class Gate:
     """A single gate instruction: a name, target qubits, and parameters.
 
-    ``matrix_override`` is used only by the opaque ``su4`` gate, whose
-    unitary cannot be derived from a name and scalar parameters.
+    Gates are immutable: assigning an attribute raises ``AttributeError``.
+    Equality and hashing use ``(name, qubits, params)``; ``matrix_override``
+    is used only by the opaque ``su4`` gate, whose unitary cannot be derived
+    from a name and scalar parameters, and takes no part in either.
+
+    The constructor coerces qubits to ``int`` and parameters to ``float``
+    and rejects a repeated qubit.  :meth:`_trusted` skips all of that for
+    values the program already holds as valid.
     """
+
+    __slots__ = ("name", "qubits", "params", "matrix_override")
 
     name: str
     qubits: Tuple[int, ...]
-    params: Tuple[float, ...] = ()
-    matrix_override: Optional[np.ndarray] = field(default=None, compare=False)
+    params: Tuple[float, ...]
+    matrix_override: Optional[np.ndarray]
 
-    def __post_init__(self):
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
-        object.__setattr__(self, "params", tuple(float(p) for p in self.params))
-        if len(set(self.qubits)) != len(self.qubits):
-            raise ValueError(f"gate {self.name} addresses a repeated qubit: {self.qubits}")
+    def __init__(
+        self,
+        name: str,
+        qubits: Iterable[int],
+        params: Iterable[float] = (),
+        matrix_override: Optional[np.ndarray] = None,
+    ):
+        qubits = tuple(map(int, qubits))
+        params = tuple(map(float, params))
+        if len(set(qubits)) != len(qubits):
+            raise ValueError(f"gate {name} addresses a repeated qubit: {qubits}")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "qubits", qubits)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "matrix_override", matrix_override)
+
+    @classmethod
+    def _trusted(
+        cls,
+        name: str,
+        qubits: Tuple[int, ...],
+        params: Tuple[float, ...] = (),
+        matrix_override: Optional[np.ndarray] = None,
+    ) -> "Gate":
+        """A gate from already-valid fields: int qubits, none repeated, and
+        float params, each as a tuple.  Nothing is checked or converted."""
+        gate = cls.__new__(cls)
+        object.__setattr__(gate, "name", name)
+        object.__setattr__(gate, "qubits", qubits)
+        object.__setattr__(gate, "params", params)
+        object.__setattr__(gate, "matrix_override", matrix_override)
+        return gate
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"Gate is immutable; cannot assign {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"Gate is immutable; cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.qubits, self.params) == (other.name, other.qubits, other.params)
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.qubits, self.params))
+
+    def __reduce__(self):
+        return (Gate._trusted, (self.name, self.qubits, self.params, self.matrix_override))
 
     @property
     def num_qubits(self) -> int:
@@ -158,21 +208,22 @@ class Gate:
         return gate_matrix(self.name, self.params, self.matrix_override)
 
     def dagger(self) -> "Gate":
-        """The inverse gate as a new :class:`Gate`."""
+        """The inverse gate as a new :class:`Gate` on the same qubits."""
         name = self.name
         if name in SELF_INVERSE:
             return self
         if name in INVERSE_PAIRS:
-            return Gate(INVERSE_PAIRS[name], self.qubits)
+            return Gate._trusted(INVERSE_PAIRS[name], self.qubits)
         if name in ("rx", "ry", "rz", "rxx", "ryy", "rzz", "rzx"):
-            return Gate(name, self.qubits, (-self.params[0],))
+            return Gate._trusted(name, self.qubits, (-self.params[0],))
         if name == "u3":
             theta, phi, lam = self.params
-            return Gate("u3", self.qubits, (-theta, -lam, -phi))
+            return Gate._trusted("u3", self.qubits, (-theta, -lam, -phi))
         if name == "rpp":
-            return Gate("rpp", self.qubits, (self.params[0], self.params[1], -self.params[2]))
+            pauli0, pauli1, theta = self.params
+            return Gate._trusted("rpp", self.qubits, (pauli0, pauli1, -theta))
         if name == "su4":
-            return Gate("su4", self.qubits, (), self.matrix().conj().T)
+            return Gate._trusted("su4", self.qubits, (), self.matrix().conj().T)
         raise ValueError(f"cannot invert gate {self.name!r}")
 
     def __repr__(self) -> str:

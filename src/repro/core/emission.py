@@ -69,8 +69,11 @@ def groups_to_circuit(
     simplified_groups: List[SimplifiedGroup], num_qubits: int
 ) -> QuantumCircuit:
     """Concatenate simplified groups (already ordered) into one circuit."""
-    circuit = QuantumCircuit(num_qubits)
-    for simplified in simplified_groups:
-        for gate in group_to_circuit(simplified, num_qubits):
-            circuit.append(gate)
-    return circuit
+    return QuantumCircuit._trusted(
+        num_qubits,
+        [
+            gate
+            for simplified in simplified_groups
+            for gate in group_to_circuit(simplified, num_qubits)
+        ],
+    )

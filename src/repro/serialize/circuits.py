@@ -10,7 +10,7 @@ by Python's ``json`` module).
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -66,10 +66,49 @@ def circuit_to_dict(circuit: QuantumCircuit) -> Dict[str, Any]:
 
 
 def circuit_from_dict(data: Dict[str, Any]) -> QuantumCircuit:
-    """Rebuild a circuit from :func:`circuit_to_dict` output."""
+    """Rebuild a circuit from :func:`circuit_to_dict` output.
+
+    This is a trust boundary: payloads come from disk, the network, the
+    journal and the server, so every gate is checked here, once, exactly
+    as the public ``Gate(...)`` plus :meth:`QuantumCircuit.append` would
+    check it.  The common shape (one or two distinct in-range int qubits,
+    no matrix) is checked inline and builds the gate unchecked; anything
+    else (a non-int qubit, an ``su4`` matrix, another arity) takes
+    :func:`gate_from_dict` and ``append``, so the same inputs are accepted
+    and the same exceptions raised.
+    """
     _check_format(data)
-    circuit = QuantumCircuit(int(data["num_qubits"]))
+    num_qubits = int(data["num_qubits"])
+    circuit = QuantumCircuit(num_qubits)
+    gates = circuit._gates
+    trusted_gate = Gate._trusted
+    # Gates are immutable, so equal parameterless gates share one instance.
+    shared: Dict[Tuple[str, int, int], Gate] = {}
     for gate_data in data["gates"]:
+        if type(gate_data) is dict and "matrix" not in gate_data:
+            name = gate_data["name"]
+            qubits = gate_data["qubits"]
+            if type(name) is str and type(qubits) is list and 0 < len(qubits) <= 2:
+                first = qubits[0]
+                last = qubits[-1]
+                # One qubit (first is last) or two distinct ones, all in range.
+                if (
+                    type(first) is int
+                    and type(last) is int
+                    and 0 <= first < num_qubits
+                    and 0 <= last < num_qubits
+                    and (first != last) == (len(qubits) == 2)
+                ):
+                    if "params" in gate_data:
+                        params = tuple(map(float, gate_data["params"]))
+                        gates.append(trusted_gate(name, tuple(qubits), params))
+                        continue
+                    key = (name, first, last)
+                    gate = shared.get(key)
+                    if gate is None:
+                        gate = shared[key] = trusted_gate(name, tuple(qubits))
+                    gates.append(gate)
+                    continue
         circuit.append(gate_from_dict(gate_data))
     return circuit
 

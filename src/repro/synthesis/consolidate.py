@@ -8,7 +8,7 @@ a single opaque ``su4`` gate carrying the exact 4x4 unitary.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
@@ -59,9 +59,8 @@ def consolidate_su4(circuit: QuantumCircuit, keep_single_qubit: bool = True) -> 
     (or dropped when ``keep_single_qubit`` is False, since the paper's
     metrics ignore 1Q gates).
     """
-    result = QuantumCircuit(circuit.num_qubits)
     open_blocks: Dict[int, Optional[_Block]] = {q: None for q in range(circuit.num_qubits)}
-    ordered_blocks: List[object] = []  # _Block or Gate in emission order
+    ordered_blocks: List[Union[_Block, Gate]] = []  # in emission order
 
     def close_block_on(qubit: int) -> None:
         block = open_blocks[qubit]
@@ -93,13 +92,14 @@ def consolidate_su4(circuit: QuantumCircuit, keep_single_qubit: bool = True) -> 
         open_blocks[b] = block
         ordered_blocks.append(block)
 
+    gates: List[Gate] = []
     for item in ordered_blocks:
         if isinstance(item, Gate):
-            result.append(item)
+            gates.append(item)
             continue
         q_low, q_high = sorted(item.pair)
-        result.su4(item.matrix(q_low, q_high), q_low, q_high)
-    return result
+        gates.append(Gate._trusted("su4", (q_low, q_high), (), item.matrix(q_low, q_high)))
+    return QuantumCircuit._trusted(circuit.num_qubits, gates)
 
 
 def su4_metrics(circuit: QuantumCircuit) -> Dict[str, int]:

@@ -114,10 +114,11 @@ def synthesize_terms(
     if not terms:
         raise ValueError("cannot synthesise an empty term list")
     width = num_qubits if num_qubits is not None else terms[0].num_qubits
-    circuit = QuantumCircuit(width)
-    for term in terms:
-        circuit = circuit.compose(synthesize_pauli_term(term, width, tree=tree))
-    return circuit
+    # Each term's circuit is built, and checked, at ``width``.
+    return QuantumCircuit._trusted(
+        width,
+        [gate for term in terms for gate in synthesize_pauli_term(term, width, tree=tree)],
+    )
 
 
 def synthesize_weight2_term(

@@ -27,20 +27,20 @@ def _two_qubit_rotation_to_cx(pauli0: str, pauli1: str, theta: float, q0: int, q
             continue
         actives.append(qubit)
         for name in _PRE_BASIS[pauli]:
-            gates.append(Gate(name, (qubit,)))
+            gates.append(Gate._trusted(name, (qubit,)))
     if len(actives) == 0:
         return []
     if len(actives) == 1:
-        gates.append(Gate("rz", (actives[0],), (theta,)))
+        gates.append(Gate._trusted("rz", (actives[0],), (theta,)))
     else:
-        gates.append(Gate("cx", (actives[0], actives[1])))
-        gates.append(Gate("rz", (actives[1],), (theta,)))
-        gates.append(Gate("cx", (actives[0], actives[1])))
+        gates.append(Gate._trusted("cx", (actives[0], actives[1])))
+        gates.append(Gate._trusted("rz", (actives[1],), (theta,)))
+        gates.append(Gate._trusted("cx", (actives[0], actives[1])))
     for pauli, qubit in ((pauli0, q0), (pauli1, q1)):
         if pauli == "i":
             continue
         for name in _POST_BASIS[pauli]:
-            gates.append(Gate(name, (qubit,)))
+            gates.append(Gate._trusted(name, (qubit,)))
     return gates
 
 
@@ -57,14 +57,18 @@ def decompose_gate_to_cx(gate: Gate) -> List[Gate]:
         control, target = gate.qubits
         out: List[Gate] = []
         for gname, qubit in clifford2q_prelude(kind, control, target):
-            out.append(Gate(gname, (qubit,)))
-        out.append(Gate("cx", (control, target)))
+            out.append(Gate._trusted(gname, (qubit,)))
+        out.append(Gate._trusted("cx", (control, target)))
         for gname, qubit in clifford2q_postlude(kind, control, target):
-            out.append(Gate(gname, (qubit,)))
+            out.append(Gate._trusted(gname, (qubit,)))
         return out
     if name == "swap":
         a, b = gate.qubits
-        return [Gate("cx", (a, b)), Gate("cx", (b, a)), Gate("cx", (a, b))]
+        return [
+            Gate._trusted("cx", (a, b)),
+            Gate._trusted("cx", (b, a)),
+            Gate._trusted("cx", (a, b)),
+        ]
     if name in ("rxx", "ryy", "rzz", "rzx"):
         pauli0, pauli1 = {"rxx": ("x", "x"), "ryy": ("y", "y"), "rzz": ("z", "z"), "rzx": ("z", "x")}[name]
         return _two_qubit_rotation_to_cx(pauli0, pauli1, gate.params[0], *gate.qubits)
@@ -73,13 +77,17 @@ def decompose_gate_to_cx(gate: Gate) -> List[Gate]:
         return _two_qubit_rotation_to_cx(pauli0, pauli1, theta, *gate.qubits)
     if name == "cz":
         control, target = gate.qubits
-        return [Gate("h", (target,)), Gate("cx", (control, target)), Gate("h", (target,))]
+        return [
+            Gate._trusted("h", (target,)),
+            Gate._trusted("cx", (control, target)),
+            Gate._trusted("h", (target,)),
+        ]
     if name == "cy":
         control, target = gate.qubits
         return [
-            Gate("sdg", (target,)),
-            Gate("cx", (control, target)),
-            Gate("s", (target,)),
+            Gate._trusted("sdg", (target,)),
+            Gate._trusted("cx", (control, target)),
+            Gate._trusted("s", (target,)),
         ]
     if name == "su4":
         # Opaque SU(4) gates only arise from consolidation, which is the
@@ -94,8 +102,7 @@ def decompose_gate_to_cx(gate: Gate) -> List[Gate]:
 
 def rebase_to_cx(circuit: QuantumCircuit) -> QuantumCircuit:
     """Lower every gate of ``circuit`` to the {CNOT, 1Q} gate set."""
-    result = QuantumCircuit(circuit.num_qubits)
-    for gate in circuit:
-        for lowered in decompose_gate_to_cx(gate):
-            result.append(lowered)
-    return result
+    return QuantumCircuit._trusted(
+        circuit.num_qubits,
+        [lowered for gate in circuit for lowered in decompose_gate_to_cx(gate)],
+    )

@@ -52,8 +52,8 @@ def _merged_rotation(gate_a: Gate, gate_b: Gate) -> Optional[Gate]:
     angle = gate_a.params[0] + gate_b.params[0]
     angle = math.remainder(angle, 4 * math.pi)
     if abs(angle) < _ANGLE_TOL:
-        return Gate("i", (gate_a.qubits[0],))
-    return Gate(gate_a.name, gate_a.qubits, (angle,))
+        return Gate._trusted("i", (gate_a.qubits[0],))
+    return Gate._trusted(gate_a.name, gate_a.qubits, (angle,))
 
 
 def _sweep(gates: List[Optional[Gate]], try_combine) -> bool:
@@ -106,7 +106,7 @@ def cancel_adjacent_inverses(circuit: QuantumCircuit) -> QuantumCircuit:
     gates: List[Optional[Gate]] = list(circuit)
     while _sweep(gates, try_combine):
         pass
-    return QuantumCircuit(circuit.num_qubits, [g for g in gates if g is not None])
+    return QuantumCircuit._trusted(circuit.num_qubits, [g for g in gates if g is not None])
 
 
 def merge_rotations(circuit: QuantumCircuit) -> QuantumCircuit:
@@ -123,4 +123,4 @@ def merge_rotations(circuit: QuantumCircuit) -> QuantumCircuit:
     gates: List[Optional[Gate]] = list(circuit)
     while _sweep(gates, try_combine):
         pass
-    return QuantumCircuit(circuit.num_qubits, [g for g in gates if g is not None])
+    return QuantumCircuit._trusted(circuit.num_qubits, [g for g in gates if g is not None])

@@ -43,7 +43,7 @@ def fuse_single_qubit_gates(circuit: QuantumCircuit) -> QuantumCircuit:
         if _is_identity(matrix):
             return
         theta, phi, lam = u3_angles_from_matrix(matrix)
-        output.append(Gate("u3", (qubit,), (theta, phi, lam)))
+        output.append(Gate._trusted("u3", (qubit,), (theta, phi, lam)))
 
     for gate in circuit:
         if gate.num_qubits == 1:
@@ -58,4 +58,4 @@ def fuse_single_qubit_gates(circuit: QuantumCircuit) -> QuantumCircuit:
         output.append(gate)
     for qubit in range(circuit.num_qubits):
         flush(qubit)
-    return QuantumCircuit(circuit.num_qubits, output)
+    return QuantumCircuit._trusted(circuit.num_qubits, output)

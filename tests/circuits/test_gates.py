@@ -1,5 +1,8 @@
 """Tests for the gate library."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -68,6 +71,79 @@ class TestGateObject:
     def test_self_inverse_dagger(self):
         gate = Gate("cxy", (0, 1))
         assert gate.dagger() is gate
+
+
+class TestGateContract:
+    """``Gate`` is an immutable value: what the rest of the program relies
+    on when it shares, hashes and re-wraps gates without re-checking them."""
+
+    @pytest.mark.parametrize("field", ["name", "qubits", "params", "matrix_override"])
+    def test_assignment_raises(self, field):
+        gate = Gate("rz", (0,), (0.5,))
+        with pytest.raises(AttributeError):
+            setattr(gate, field, None)
+        with pytest.raises(AttributeError):
+            delattr(gate, field)
+        assert (gate.name, gate.qubits, gate.params) == ("rz", (0,), (0.5,))
+
+    def test_no_new_attributes(self):
+        with pytest.raises(AttributeError):
+            Gate("h", (0,)).label = "x"
+
+    def test_equality_and_hash_ignore_matrix_override(self):
+        first = Gate("su4", (0, 1), (), np.eye(4, dtype=complex))
+        second = Gate("su4", (0, 1), (), gate_matrix("cx"))
+        assert first == second
+        assert hash(first) == hash(second)
+        assert len({first, second}) == 1
+
+    def test_equality_and_hash_use_name_qubits_params(self):
+        gate = Gate("rz", (0,), (0.5,))
+        assert gate == Gate("rz", [0], [0.5])
+        assert hash(gate) == hash(Gate("rz", [0], [0.5]))
+        assert gate != Gate("rz", (1,), (0.5,))
+        assert gate != Gate("rz", (0,), (0.25,))
+        assert gate != Gate("rx", (0,), (0.5,))
+        assert gate != ("rz", (0,), (0.5,))
+
+    @pytest.mark.parametrize(
+        "gate",
+        [
+            Gate("cx", (2, 0)),
+            Gate("u3", (1,), (0.1, -0.2, 0.3)),
+            Gate("su4", (0, 1), (), gate_matrix("cx")),
+        ],
+        ids=["cx", "u3", "su4"],
+    )
+    def test_pickle_and_deepcopy_round_trip(self, gate):
+        for clone in (pickle.loads(pickle.dumps(gate)), copy.deepcopy(gate), copy.copy(gate)):
+            assert type(clone) is Gate
+            assert clone == gate
+            assert (clone.name, clone.qubits, clone.params) == (
+                gate.name,
+                gate.qubits,
+                gate.params,
+            )
+            if gate.matrix_override is None:
+                assert clone.matrix_override is None
+            else:
+                assert np.array_equal(clone.matrix_override, gate.matrix_override)
+
+    def test_numpy_scalars_are_coerced(self):
+        gate = Gate("rzz", (np.int64(3), np.int32(1)), (np.float32(0.5),))
+        assert gate.qubits == (3, 1)
+        assert all(type(q) is int for q in gate.qubits)
+        assert gate.params == (0.5,)
+        assert all(type(p) is float for p in gate.params)
+        assert type(gate.qubits) is tuple and type(gate.params) is tuple
+
+    def test_repeated_qubit_raises_after_coercion(self):
+        with pytest.raises(ValueError, match="repeated qubit"):
+            Gate("cx", (np.int64(2), 2))
+
+    def test_repr(self):
+        assert repr(Gate("cx", (0, 1))) == "Gate(cx, qubits=(0, 1))"
+        assert repr(Gate("rz", (2,), (0.5,))) == "Gate(rz(0.5), qubits=(2,))"
 
 
 class TestU3Extraction:
