@@ -16,6 +16,7 @@ computed on demand.  The library covers
 from __future__ import annotations
 
 import math
+from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Iterable, Optional, Tuple
 
 import numpy as np
@@ -126,25 +127,24 @@ def two_qubit_pauli_rotation(pauli0: str, pauli1: str, theta: float) -> np.ndarr
     return _rotation(op, theta)
 
 
+@dataclass(slots=True, init=False, unsafe_hash=True)
 class Gate:
     """A single gate instruction: a name, target qubits, and parameters.
 
     Gates are immutable: assigning an attribute raises ``AttributeError``.
-    Equality and hashing use ``(name, qubits, params)``; ``matrix_override``
-    is used only by the opaque ``su4`` gate, whose unitary cannot be derived
-    from a name and scalar parameters, and takes no part in either.
+    ``matrix_override`` is used only by the opaque ``su4`` gate, whose
+    unitary cannot be derived from a name and scalar parameters, and takes
+    no part in equality or hashing.
 
     The constructor coerces qubits to ``int`` and parameters to ``float``
     and rejects a repeated qubit.  :meth:`_trusted` skips all of that for
     values the program already holds as valid.
     """
 
-    __slots__ = ("name", "qubits", "params", "matrix_override")
-
     name: str
     qubits: Tuple[int, ...]
     params: Tuple[float, ...]
-    matrix_override: Optional[np.ndarray]
+    matrix_override: Optional[np.ndarray] = field(compare=False)
 
     def __init__(
         self,
@@ -179,19 +179,16 @@ class Gate:
         object.__setattr__(gate, "matrix_override", matrix_override)
         return gate
 
+    # Immutability is written out rather than taken from ``frozen=True``:
+    # with ``slots=True`` that raises TypeError, not FrozenInstanceError, for
+    # a name that is not a field (Python 3.10-3.13).  This ``__setattr__``
+    # also blocks the default unpickling of slots, so ``__reduce__`` rebuilds
+    # the gate instead.
     def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"Gate is immutable; cannot assign {name!r}")
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"Gate is immutable; cannot delete {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.name, self.qubits, self.params) == (other.name, other.qubits, other.params)
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.qubits, self.params))
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         return (Gate._trusted, (self.name, self.qubits, self.params, self.matrix_override))

@@ -18,7 +18,7 @@ CNOTs, matching the paper's accounting of routing overhead.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -134,13 +134,6 @@ def route_circuit(
         initial_mapping = sabre_initial_mapping(circuit, topology, seed=seed)
     mapping = dict(initial_mapping)  # logical -> physical
     distances = topology.distance_matrix()
-    # SWAPs keep a one-to-one placement onto the device one-to-one, so the
-    # re-placed gates need no re-check; any other mapping is checked per gate.
-    physical = list(mapping.values())
-    one_to_one = len(set(physical)) == len(physical) and all(
-        type(p) is int and 0 <= p < topology.num_qubits for p in physical
-    )
-    make_gate: Callable[..., Gate] = Gate._trusted if one_to_one else Gate
 
     # Build per-qubit gate queues to track the DAG front.
     gates = list(circuit)
@@ -186,7 +179,7 @@ def route_circuit(
             if executable(index):
                 gate = gates[index]
                 new_qubits = tuple(mapping[q] for q in gate.qubits)
-                routed.append(make_gate(gate.name, new_qubits, gate.params, gate.matrix_override))
+                routed.append(Gate(gate.name, new_qubits, gate.params, gate.matrix_override))
                 ready.remove(index)
                 release(index)
                 progressed = True

@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gates import Gate
+from repro.utils.validation import check_qubit_index
 
 #: Version tag embedded in every serialized payload; bump on breaking changes.
 SERIALIZATION_FORMAT = "repro-json-1"
@@ -74,13 +75,14 @@ def circuit_from_dict(data: Dict[str, Any]) -> QuantumCircuit:
     check it.  The common shape (one or two distinct in-range int qubits,
     no matrix) is checked inline and builds the gate unchecked; anything
     else (a non-int qubit, an ``su4`` matrix, another arity) takes
-    :func:`gate_from_dict` and ``append``, so the same inputs are accepted
-    and the same exceptions raised.
+    :func:`gate_from_dict` and the same qubit check as ``append``, so the
+    same inputs are accepted and the same exceptions raised.
     """
     _check_format(data)
     num_qubits = int(data["num_qubits"])
-    circuit = QuantumCircuit(num_qubits)
-    gates = circuit._gates
+    if num_qubits <= 0:
+        raise ValueError("a circuit needs at least one qubit")
+    gates: List[Gate] = []
     trusted_gate = Gate._trusted
     # Gates are immutable, so equal parameterless gates share one instance.
     shared: Dict[Tuple[str, int, int], Gate] = {}
@@ -109,8 +111,11 @@ def circuit_from_dict(data: Dict[str, Any]) -> QuantumCircuit:
                         gate = shared[key] = trusted_gate(name, tuple(qubits))
                     gates.append(gate)
                     continue
-        circuit.append(gate_from_dict(gate_data))
-    return circuit
+        gate = gate_from_dict(gate_data)
+        for qubit in gate.qubits:
+            check_qubit_index(qubit, num_qubits)
+        gates.append(gate)
+    return QuantumCircuit._trusted(num_qubits, gates)
 
 
 def circuit_to_json(circuit: QuantumCircuit, indent: Optional[int] = None) -> str:
