@@ -17,7 +17,7 @@ whole batch as a span tree (one JSON object per span: the batch, each
 job, each worker-side compile attempt, each pipeline stage) via
 ``repro.obs`` — the same tracing ``phoenix batch --trace-out`` uses.
 
-Run with:  python examples/batch_service.py [cache_dir] [--workers N]
+Run with:  python examples/batch_service.py [disk:CACHE_DIR] [--workers N]
                                             [--trace-out TRACE.jsonl]
 """
 
@@ -67,8 +67,8 @@ class NoOrderingPhoenix(PhoenixCompiler):
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "cache_dir", nargs="?", default=".phoenix-cache",
-        help="content-addressed result cache directory (default: .phoenix-cache)",
+        "cache", nargs="?", default="disk:.phoenix-cache", metavar="SPEC",
+        help="content-addressed result cache spec (default: disk:.phoenix-cache)",
     )
     parser.add_argument(
         "--workers", type=int, default=None,
@@ -80,8 +80,7 @@ def main() -> None:
         help="write the batch's span tree as JSON lines to this file",
     )
     args = parser.parse_args()
-    cache_dir = args.cache_dir
-    service = CompilationService(cache=open_cache(cache_dir))
+    service = CompilationService(cache=open_cache(args.cache))
 
     # One registration makes the ablation batchable/cacheable service-wide.
     register_compiler("phoenix-noorder", NoOrderingPhoenix)
@@ -124,7 +123,7 @@ def main() -> None:
     ))
     workers = args.workers if args.workers is not None else "auto"
     print(f"\nbatch of {len(jobs)} jobs took {elapsed:.2f}s "
-          f"(workers: {workers}, cache: {cache_dir!r}; rerun to hit it)")
+          f"(workers: {workers}, cache: {args.cache!r}; rerun to hit it)")
     if args.trace_out:
         print(f"span trace written to {args.trace_out!r} "
               "(one JSON object per span; jq-friendly)")

@@ -79,14 +79,10 @@ class PhoenixCompiler(PipelineCompiler):
         (batched block geometry + broadcast window costs), ``"reference"``
         (the original per-pair loop), or ``"auto"`` (fast; both produce
         bit-identical orderings).
-    cache:
-        Optional cache store with ``get(key) -> dict | None`` and
-        ``put(key, dict)`` (see :mod:`repro.service.cache`).  When set,
-        :meth:`compile` is wrapped by
-        :class:`~repro.pipeline.caching.CachingCompiler`, which looks
-        results up under the content-addressed key combining the program
-        fingerprint with :meth:`config_fingerprint` and stores misses
-        after compiling.
+
+    The compiler itself never caches: batch and cached compilation go
+    through :class:`~repro.service.service.CompilationService`, which keys
+    results by the program fingerprint and :meth:`config_fingerprint`.
     """
 
     name = "phoenix"
@@ -98,7 +94,6 @@ class PhoenixCompiler(PipelineCompiler):
         lookahead: int = 10,
         optimization_level: int = 2,
         seed: int = 0,
-        cache=None,
         simplify_engine: str = "auto",
         ordering_engine: str = "auto",
     ):
@@ -110,7 +105,6 @@ class PhoenixCompiler(PipelineCompiler):
             lookahead=lookahead,
             simplify_engine=simplify_engine,
             ordering_engine=ordering_engine,
-            cache=cache,
         )
 
     # ------------------------------------------------------------------

@@ -7,9 +7,9 @@ names the stages, and :meth:`compile` threads a
 :class:`~repro.pipeline.stage.CompileContext` through them.  PHOENIX and
 every baseline subclass this and differ only in the stages they compose.
 
-Content-addressed caching is *not* part of the pipeline: a compiler built
-with ``cache=...`` is transparently wrapped by
-:class:`~repro.pipeline.caching.CachingCompiler` at :meth:`compile` time.
+Content-addressed caching is *not* part of the pipeline: a compiler always
+compiles, and :class:`~repro.service.service.CompilationService` is the one
+place that looks results up in (and stores them into) a cache.
 
 Note on fingerprints: the base class deliberately does **not** define
 ``config_fingerprint``.  The service's ``CompilerOptions.fingerprint()``
@@ -44,7 +44,6 @@ class PipelineCompiler:
         lookahead: int = 10,
         simplify_engine: str = "auto",
         ordering_engine: str = "auto",
-        cache=None,
     ):
         self.options = CompileOptions(
             isa=isa,
@@ -55,11 +54,10 @@ class PipelineCompiler:
             simplify_engine=simplify_engine,
             ordering_engine=ordering_engine,
         )
-        self.cache = cache
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_options(cls, options: CompileOptions, cache=None) -> "PipelineCompiler":
+    def from_options(cls, options: CompileOptions) -> "PipelineCompiler":
         """Instantiate from one :class:`CompileOptions` value.
 
         Only the options the subclass constructor actually accepts are
@@ -87,8 +85,6 @@ class PipelineCompiler:
             "ordering_engine": options.ordering_engine,
         }
         kwargs = {key: value for key, value in candidate.items() if key in accepted}
-        if cache is not None and "cache" in accepted:
-            kwargs["cache"] = cache
         return cls(**kwargs)
 
     # ------------------------------------------------------------------
@@ -156,23 +152,13 @@ class PipelineCompiler:
         raise NotImplementedError
 
     def compile(self, program: Program, hooks: Sequence[PipelineHook] = ()):
-        """Compile a program through the stage pipeline.
-
-        With :attr:`cache` set, a content-addressed lookup runs first and a
-        fresh compilation is stored back on a miss; cached results carry
-        ``groups=[]`` (see :mod:`repro.serialize.results`).
-        """
-        terms = as_terms(program)
-        if self.cache is not None:
-            from repro.pipeline.caching import CachingCompiler
-
-            return CachingCompiler(self, self.cache).compile(terms, hooks=hooks)
-        return self.compile_terms(terms, hooks=hooks)
+        """Compile a program through the stage pipeline."""
+        return self.compile_terms(as_terms(program), hooks=hooks)
 
     def compile_terms(
         self, terms: List[PauliTerm], hooks: Sequence[PipelineHook] = ()
     ):
-        """Run the pipeline on an already-normalised term list (no cache)."""
+        """Run the pipeline on an already-normalised term list."""
         context = CompileContext(
             options=self.options, terms=list(terms), num_qubits=terms[0].num_qubits
         )

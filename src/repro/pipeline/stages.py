@@ -8,9 +8,9 @@ stages):
 * ``order``       — Tetris-like group ordering with look-ahead.
 * ``emit``        — emit the native circuit and the implemented Trotter order.
 
-Shared back end (identical for PHOENIX and every baseline — this is the
-single copy of what used to be duplicated between
-``PhoenixCompiler._compile_terms`` and ``baselines.base.finalize_compilation``):
+Shared back end (identical for PHOENIX and every baseline, including the
+2QAN baseline's all-to-all path, which runs these stages on its own
+synthesised circuit):
 
 * ``rebase``      — rebase the native circuit to the {CNOT, U3} gate set.
 * ``optimize``    — peephole optimisation at the configured level.

@@ -71,10 +71,8 @@ class ServeConfig:
     timeout: Optional[float] = None  # per-program compile budget, seconds
     retries: int = 1
     retry_errors: bool = False
-    #: Cache spec (memory:, disk:/path, http://host:port, composed tiers);
-    #: wins over the legacy ``cache_dir`` when both are set.
+    #: Cache spec (memory:, disk:/path, http://host:port, composed tiers).
     cache: Optional[str] = None
-    cache_dir: Optional[str] = None
     journal: Optional[str] = None  # WAL path; also anchors the pending manifest
     resume: bool = False  # replay terminal outcomes already in the journal
     history: int = 256  # finished jobs kept for GET /v1/jobs/<id>
@@ -126,7 +124,7 @@ class ServeApp:
             retry_policy = RetryPolicy(
                 max_retries=config.retries, retry_errors=True, base_delay=0.05
             )
-        cache: CacheStore = open_cache(config.cache or config.cache_dir)
+        cache: CacheStore = open_cache(config.cache)
         return CompilationService(
             cache=cache,
             executor=config.executor,

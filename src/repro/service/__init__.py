@@ -1,8 +1,8 @@
 """Batch compilation service: caching, parallel workers, CLI.
 
 This subpackage is the serving layer over the compilers: a
-content-addressed compilation cache (:mod:`repro.service.cache`, with a
-sharded prunable disk tier in :mod:`repro.service.shardcache`), pluggable
+content-addressed compilation cache (:mod:`repro.service.cache`, with
+its sharded prunable disk tier in :mod:`repro.service.shardcache`), pluggable
 serial/process execution backends (:mod:`repro.service.executor`), a
 parallel batch compiler (:class:`CompilationService`), plain-data compiler
 specs that survive process boundaries (:mod:`repro.service.registry`), and
@@ -18,8 +18,6 @@ policies (:mod:`repro.service.resilience`), the crash-safe batch journal
 from repro.service.cache import (
     CacheStats,
     CacheStore,
-    DiskCacheStore,
-    DoctorReport,
     MemoryCacheStore,
     TieredCache,
     compilation_cache_key,
@@ -47,13 +45,12 @@ from repro.service.service import (
     ProgressEvent,
 )
 from repro.service.remotecache import RemoteCacheStore, RemoteCacheUnavailable
-from repro.service.shardcache import PruneReport, ShardedDiskCacheStore
+from repro.service.shardcache import DoctorReport, PruneReport, ShardedDiskCacheStore
 
 __all__ = [
     "CacheStats",
     "CacheStore",
     "MemoryCacheStore",
-    "DiskCacheStore",
     "DoctorReport",
     "ShardedDiskCacheStore",
     "PruneReport",

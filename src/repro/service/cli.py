@@ -5,21 +5,21 @@ registry::
 
     phoenix compile --benchmark LiH_frz_JW --format metrics
     phoenix compile --input program.json --format qasm --output out.qasm
-    phoenix batch LiH_frz_JW NH_frz_BK --workers 4 --cache-dir .phoenix-cache
+    phoenix batch LiH_frz_JW NH_frz_BK --workers 4 --cache disk:.phoenix-cache
     phoenix batch --manifest jobs.json --executor process --timeout 120
     phoenix batch --manifest jobs.json --trace-out trace.jsonl \
         --metrics-out metrics.prom --log-level info
     phoenix batch --manifest jobs.json --journal run.wal --resume
     phoenix profile --limit 4
     phoenix profile --input batch-summaries.json
-    phoenix cache stats --cache-dir .phoenix-cache
-    phoenix cache prune --cache-dir .phoenix-cache --max-bytes 200M --max-age 7d
-    phoenix cache doctor --cache-dir .phoenix-cache
+    phoenix cache stats --cache disk:.phoenix-cache
+    phoenix cache prune --cache disk:.phoenix-cache --max-bytes 200M --max-age 7d
+    phoenix cache doctor --cache disk:.phoenix-cache
     phoenix cache serve --cache disk:.phoenix-cache --port 8078
     phoenix cache stats --cache http://cachehost:8078
     phoenix batch --manifest jobs.json --cache disk:.cache,http://cachehost:8078
     phoenix chaos --scenario ci-smoke --seed 7 --limit 4
-    phoenix serve --port 8077 --cache-dir .phoenix-cache --journal serve.wal
+    phoenix serve --port 8077 --cache disk:.phoenix-cache --journal serve.wal
     phoenix workload list
     phoenix workload build "tfim:n=12,lattice=ring" --output program.json
     phoenix workload compile "heisenberg:n=16,lattice=grid,rows=4,cols=4" \
@@ -180,14 +180,6 @@ def _parse_age(text: str) -> float:
         raise ValueError(f"invalid age {text!r}; expected e.g. 3600, 90m, 12h, 7d")
 
 
-def _cache_target(args: argparse.Namespace) -> Optional[str]:
-    """The cache spec to open: ``--cache`` wins over legacy ``--cache-dir``."""
-    spec = getattr(args, "cache", None)
-    if spec:
-        return spec
-    return getattr(args, "cache_dir", None)
-
-
 def _add_compiler_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--compiler", default="phoenix", choices=compiler_names(),
@@ -215,16 +207,11 @@ def _add_compiler_flags(parser: argparse.ArgumentParser) -> None:
              "comma-composed tier list, e.g. disk:/path,http://host:port "
              "(default: memory only)",
     )
-    parser.add_argument(
-        "--cache-dir", default=None,
-        help="directory of the on-disk result cache (deprecated: use "
-             "--cache disk:DIR; a bare path still works)",
-    )
 
 
 def _cmd_compile(args: argparse.Namespace) -> int:
     program = _load_program(args)
-    service = CompilationService(cache=open_cache(_cache_target(args)))
+    service = CompilationService(cache=open_cache(args.cache))
     name = args.benchmark or Path(args.input).stem
     job_result = service.compile(program, _options_from_args(args), name=name)
     if not job_result.ok:
@@ -309,7 +296,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     if args.resume and not args.journal:
         raise SystemExit("error: --resume needs --journal PATH")
 
-    service = CompilationService(cache=open_cache(_cache_target(args)))
+    service = CompilationService(cache=open_cache(args.cache))
     progress = None if args.quiet else _stderr_progress
     trace_sink: Optional[obs.JsonlSink] = None
     previous_sink = None
@@ -430,7 +417,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             suite = PINNED_SUITE[: args.limit] if args.limit else PINNED_SUITE
             jobs = bench_jobs(suite)
             source = f"bench suite ({len(jobs)} of {len(PINNED_SUITE)} jobs)"
-        service = CompilationService(cache=open_cache(_cache_target(args)))
+        service = CompilationService(cache=open_cache(args.cache))
         progress = None if args.quiet else _stderr_progress
         job_results = service.compile_many(
             jobs, workers=1, executor="serial", progress=progress
@@ -495,7 +482,7 @@ def _cmd_workload_compile(args: argparse.Namespace) -> int:
         optimization_level=args.opt_level,
         seed=args.seed,
     )
-    service = CompilationService(cache=open_cache(_cache_target(args)))
+    service = CompilationService(cache=open_cache(args.cache))
     job_result = service.compile(workload.to_terms(), options, name=workload.name)
     if not job_result.ok:
         sys.stderr.write(
@@ -531,7 +518,7 @@ def _cmd_cache_serve(args: argparse.Namespace, spec) -> int:
     if not spec.has_disk:
         sys.stderr.write(
             "error: 'cache serve' needs a disk cache to front "
-            "(--cache disk:DIR or --cache-dir DIR)\n"
+            "(--cache disk:DIR)\n"
         )
         return 2
     config = CacheServeConfig(
@@ -591,11 +578,10 @@ def _cmd_cache_remote(args: argparse.Namespace, spec) -> int:
 def _cmd_cache(args: argparse.Namespace) -> int:
     from repro.service.cachespec import parse_spec
 
-    target = _cache_target(args)
-    if target is None:
-        sys.stderr.write("error: provide --cache SPEC or --cache-dir DIR\n")
+    if args.cache is None:
+        sys.stderr.write("error: provide --cache SPEC\n")
         return 2
-    spec = parse_spec(target)
+    spec = parse_spec(args.cache)
     if args.action == "serve":
         return _cmd_cache_serve(args, spec)
     if spec.has_remote:
@@ -609,11 +595,11 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     if not spec.has_disk:
         sys.stderr.write(
             f"error: 'cache {args.action}' needs a disk or remote cache, "
-            f"got {target!r}\n"
+            f"got {args.cache!r}\n"
         )
         return 2
     cache_dir = spec.disk_path
-    # Inspection must not create state: a typo'd --cache-dir should fail,
+    # Inspection must not create state: a typo'd directory should fail,
     # not report a fresh empty cache.
     if not Path(cache_dir).is_dir():
         sys.stderr.write(f"error: no cache directory at {cache_dir!r}\n")
@@ -712,7 +698,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         retries=args.retries,
         retry_errors=args.retry_errors,
         cache=args.cache,
-        cache_dir=args.cache_dir,
         journal=args.journal,
         resume=args.resume,
     )
@@ -842,10 +827,6 @@ def build_parser() -> argparse.ArgumentParser:
              "fresh stage timings; default: memory only)",
     )
     profile_parser.add_argument(
-        "--cache-dir", default=None,
-        help="result cache directory (deprecated: use --cache disk:DIR)",
-    )
-    profile_parser.add_argument(
         "--quiet", action="store_true",
         help="suppress the per-job k/N progress lines on stderr",
     )
@@ -908,10 +889,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="cache spec: disk:/path?depth=2&width=16 or http://host:port "
              "(stats/info/ls/clear work against a server; prune/doctor are "
              "local-only)",
-    )
-    cache_parser.add_argument(
-        "--cache-dir", default=None,
-        help="cache directory (deprecated: use --cache disk:DIR)",
     )
     cache_parser.add_argument(
         "--host", default="127.0.0.1", help="serve: bind address"
@@ -1027,11 +1004,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache", default=None, metavar="SPEC",
         help="result cache spec: memory:, disk:/path, http://host:port, or "
              "a comma-composed tier list (default: memory only)",
-    )
-    serve_parser.add_argument(
-        "--cache-dir", default=None,
-        help="directory of the on-disk result cache (deprecated: use "
-             "--cache disk:DIR)",
     )
     serve_parser.add_argument(
         "--journal", default=None, metavar="PATH",

@@ -1,22 +1,26 @@
-"""Sharded content-addressed disk cache with usage stats and LRU pruning.
+"""The content-addressed disk cache: one JSON file per entry.
 
-:class:`ShardedDiskCacheStore` is a drop-in
-:class:`~repro.service.cache.DiskCacheStore` (same ``get``/``put``/
-``delete``/``keys``/``clear`` surface, same atomic temp-file + rename
-writes, so any number of worker processes can share one cache directory)
-that adds:
+:class:`ShardedDiskCacheStore` is the one disk tier.  Entries live under
+``root/<k[:w]>/<k[w:2w]>/.../<key>.json`` for ``depth`` levels of
+``width`` hex characters; the default ``depth=1, width=2`` layout is
+``root/<key[:2]>/<key>.json``, so cache directories written before the
+fan-out was configurable resolve unchanged.  Writes are atomic (temp file
++ rename), so any number of worker processes can share one directory.
+The store also keeps
 
-* a configurable shard fan-out — keys land in
-  ``root/<k[:w]>/<k[w:2w]>/.../<key>.json`` for ``depth`` levels of
-  ``width`` hex characters.  The default ``depth=1, width=2`` layout is
-  byte-identical to the flat store's ``root/<k[:2]>/<key>.json``, so
-  existing cache directories and keys resolve unchanged;
-* a layout marker (``shard-layout.json``) written into the cache root so
+* a layout marker (``shard-layout.json``) in the cache root, so
   reopening never silently mis-shards an existing directory;
 * access-time tracking (hits bump the entry mtime) feeding
-  :meth:`prune` — LRU-by-mtime eviction to a byte budget and/or a
-  maximum entry age, tolerant of concurrent writers and pruners; and
-* :meth:`usage` — entry/byte/shard accounting for ``phoenix cache stats``.
+  :meth:`~ShardedDiskCacheStore.prune` — LRU-by-mtime eviction to a byte
+  budget and/or a maximum entry age, tolerant of concurrent writers and
+  pruners;
+* :meth:`~ShardedDiskCacheStore.usage` — entry/byte/shard accounting for
+  ``phoenix cache stats``; and
+* the degradation contract of :mod:`repro.service.cache`: corrupt
+  entries are quarantined into a ``corrupt/`` sidecar (inspected by
+  :meth:`~ShardedDiskCacheStore.doctor`), I/O errors become counted
+  misses or dropped writes, and every outcome feeds an optional
+  :class:`~repro.service.resilience.CircuitBreaker`.
 
 Values are written through :func:`repro.serialize.jsonutil.canonical_json`
 so identical payloads are identical files regardless of which worker
@@ -32,14 +36,18 @@ import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.obs import metrics as obs_metrics
 from repro.serialize.jsonutil import canonical_json
 from repro.service import faultlab
-from repro.service.cache import DiskCacheStore
+from repro.service.cache import CacheStats
+from repro.service.resilience import CircuitBreaker
 
 logger = logging.getLogger(__name__)
+
+#: Sidecar directory (under the cache root) holding quarantined entries.
+QUARANTINE_DIRNAME = "corrupt"
 
 #: Name of the layout marker file kept in the cache root.
 LAYOUT_FILE = "shard-layout.json"
@@ -69,19 +77,47 @@ class PruneReport:
         }
 
 
-class ShardedDiskCacheStore(DiskCacheStore):
-    """Sharded, prunable variant of the one-file-per-entry disk store."""
+@dataclass(frozen=True)
+class DoctorReport:
+    """What one :meth:`ShardedDiskCacheStore.doctor` scan found and did."""
+
+    scanned: int = 0
+    healthy: int = 0
+    corrupt: int = 0
+    quarantined: int = 0
+    restored: int = 0
+    purged: int = 0
+    quarantine_backlog: int = 0
+
+    def as_dict(self) -> Dict[str, int]:
+        return {
+            "scanned": self.scanned,
+            "healthy": self.healthy,
+            "corrupt": self.corrupt,
+            "quarantined": self.quarantined,
+            "restored": self.restored,
+            "purged": self.purged,
+            "quarantine_backlog": self.quarantine_backlog,
+        }
+
+
+class ShardedDiskCacheStore:
+    """One JSON file per entry under a sharded ``root`` directory."""
 
     def __init__(
         self,
         root: Union[str, Path],
         depth: Optional[int] = None,
         width: Optional[int] = None,
-        touch_on_hit: bool = True,
     ):
-        super().__init__(root)
+        self.root = Path(root)
+        self.root.mkdir(parents=True, exist_ok=True)
+        self.stats = CacheStats()
+        #: Optional :class:`CircuitBreaker` fed by every disk outcome;
+        #: :class:`~repro.service.cache.TieredCache` consults it to degrade
+        #: to memory-only.
+        self.breaker: Optional[CircuitBreaker] = None
         self.depth, self.width = self._load_layout(depth, width)
-        self.touch_on_hit = touch_on_hit
 
     # -- layout ---------------------------------------------------------
     def _load_layout(
@@ -89,8 +125,8 @@ class ShardedDiskCacheStore(DiskCacheStore):
     ) -> Tuple[int, int]:
         """Reconcile requested fan-out with the directory's marker file.
 
-        An unmarked directory (fresh, or written by the flat store) is the
-        legacy ``depth=1, width=2`` layout unless told otherwise; explicit
+        An unmarked directory (fresh, or written before the marker existed)
+        is the ``depth=1, width=2`` layout unless told otherwise; explicit
         arguments that contradict an existing marker are an error, not a
         silent re-shard — and so is a marker that exists but cannot be
         parsed, since guessing a layout would orphan every existing entry.
@@ -149,6 +185,49 @@ class ShardedDiskCacheStore(DiskCacheStore):
             shard = shard / key[level * self.width : (level + 1) * self.width]
         return shard / f"{key}.json"
 
+    @property
+    def quarantine_dir(self) -> Path:
+        return self.root / QUARANTINE_DIRNAME
+
+    def _is_live(self, path: Path) -> bool:
+        """Entry files only — never the quarantine sidecar's contents."""
+        return self.quarantine_dir not in path.parents
+
+    # -- degradation helpers --------------------------------------------
+    def _disk_outcome(self, ok: bool) -> None:
+        if self.breaker is not None:
+            if ok:
+                self.breaker.record_success()
+            else:
+                self.breaker.record_failure()
+
+    def _quarantine(self, key: str, path: Path, reason: str) -> None:
+        """Move a corrupt entry into the sidecar; the get stays a miss."""
+        if not path.exists():
+            # Nothing on disk to isolate (e.g. the decode failed before the
+            # entry was ever written): it is just a miss.
+            return
+        self.stats.quarantined += 1
+        obs_metrics.counter("repro_cache_quarantined_total").inc()
+        moved = False
+        try:
+            self.quarantine_dir.mkdir(parents=True, exist_ok=True)
+            os.replace(path, self.quarantine_dir / path.name)
+            moved = True
+        except OSError:
+            pass  # racing reader already moved it, or the dir is read-only
+        logger.warning(
+            "quarantined corrupt cache entry %s (%s)%s",
+            key,
+            reason.strip().splitlines()[-1] if reason.strip() else reason,
+            "" if moved else " [move failed; entry left in place]",
+        )
+
+    def _io_error(self, op: str, key: str, exc: BaseException) -> None:
+        self.stats.io_errors += 1
+        obs_metrics.counter("repro_cache_io_errors_total", op=op).inc()
+        logger.warning("cache %s failed for %s: %s", op, key, exc)
+
     # -- store surface ---------------------------------------------------
     def touch(self, key: str) -> None:
         """Bump the entry mtime so LRU pruning sees this access.
@@ -157,23 +236,40 @@ class ShardedDiskCacheStore(DiskCacheStore):
         memory tier absorbs a hit that would otherwise leave the disk
         entry looking cold.
         """
-        if not self.touch_on_hit:
-            return
         try:
             os.utime(self._path(key))
         except OSError:  # entry raced away or read-only store: LRU only
             pass
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
-        value = super().get(key)
-        if value is not None:
-            self.touch(key)
+        path = self._path(key)
+        try:
+            faultlab.fire("cache.get", key=key)
+            with path.open("r", encoding="utf-8") as handle:
+                value = json.load(handle)
+        except FileNotFoundError:
+            self._disk_outcome(ok=True)  # the disk worked; the entry is absent
+            self.stats.misses += 1
+            return None
+        except (json.JSONDecodeError, UnicodeDecodeError, ValueError) as exc:
+            self._quarantine(key, path, str(exc))
+            self._disk_outcome(ok=False)
+            self.stats.misses += 1
+            return None
+        except OSError as exc:
+            self._io_error("get", key, exc)
+            self._disk_outcome(ok=False)
+            self.stats.misses += 1
+            return None
+        self._disk_outcome(ok=True)
+        self.stats.hits += 1
+        self.touch(key)
         return value
 
     def _write(self, path: Path, value: Dict[str, Any]) -> None:
-        # Same atomic temp-file + rename as the base class, but through the
-        # canonical encoder so concurrent writers of one key produce
-        # byte-identical files and either rename wins losslessly.
+        # Atomic temp-file + rename through the canonical encoder, so
+        # concurrent writers of one key produce byte-identical files and
+        # either rename wins losslessly.
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
@@ -200,7 +296,14 @@ class ShardedDiskCacheStore(DiskCacheStore):
         self._disk_outcome(ok=True)
         self.stats.puts += 1
 
-    def keys(self):
+    def delete(self, key: str) -> bool:
+        try:
+            self._path(key).unlink()
+            return True
+        except FileNotFoundError:
+            return False
+
+    def keys(self) -> Iterator[str]:
         for path in sorted(self.root.glob(self._entry_glob)):
             if self._is_live(path):
                 yield path.stem
@@ -222,6 +325,9 @@ class ShardedDiskCacheStore(DiskCacheStore):
 
     def __contains__(self, key: str) -> bool:
         return self._path(key).exists()
+
+    def close(self) -> None:
+        """No handles held open between calls; uniform surface only."""
 
     # -- accounting and eviction -----------------------------------------
     def _entries(self) -> List[Tuple[Path, float, int]]:
@@ -348,3 +454,79 @@ class ShardedDiskCacheStore(DiskCacheStore):
                         shard.rmdir()  # only succeeds when empty
                     except OSError:
                         pass
+
+    # -- doctor ----------------------------------------------------------
+    @staticmethod
+    def _validate_file(path: Path) -> bool:
+        try:
+            with path.open("r", encoding="utf-8") as handle:
+                json.load(handle)
+            return True
+        except (OSError, ValueError, UnicodeDecodeError):
+            return False
+
+    def doctor(self, repair: bool = True, purge: bool = False) -> DoctorReport:
+        """Scan every entry; quarantine corrupt ones, restore healthy ones.
+
+        ``repair=False`` only reports.  ``purge=True`` additionally deletes
+        whatever remains in the quarantine sidecar after restoration.
+        Restoration never overwrites a live entry (the recompiled entry,
+        if any, is fresher than the quarantined copy).
+        """
+        scanned = healthy = corrupt = quarantined = restored = purged = 0
+        for key in list(self.keys()):
+            path = self._path(key)
+            scanned += 1
+            if self._validate_file(path):
+                healthy += 1
+                continue
+            corrupt += 1
+            if repair:
+                self._quarantine(key, path, "doctor scan: unreadable entry")
+                quarantined += 1
+        if self.quarantine_dir.is_dir():
+            for path in sorted(self.quarantine_dir.glob("*.json")):
+                key = path.stem
+                if repair and self._validate_file(path):
+                    try:
+                        target = self._path(key)
+                        if not target.exists():
+                            target.parent.mkdir(parents=True, exist_ok=True)
+                            os.replace(path, target)
+                            restored += 1
+                            continue
+                    except (OSError, ValueError):
+                        pass
+                if purge:
+                    try:
+                        path.unlink()
+                        purged += 1
+                    except OSError:
+                        pass
+        backlog = (
+            sum(1 for _ in self.quarantine_dir.glob("*.json"))
+            if self.quarantine_dir.is_dir()
+            else 0
+        )
+        report = DoctorReport(
+            scanned=scanned,
+            healthy=healthy,
+            corrupt=corrupt,
+            quarantined=quarantined,
+            restored=restored,
+            purged=purged,
+            quarantine_backlog=backlog,
+        )
+        logger.info(
+            "cache doctor on %s: scanned %d, healthy %d, corrupt %d "
+            "(quarantined %d, restored %d, purged %d, backlog %d)",
+            self.root,
+            report.scanned,
+            report.healthy,
+            report.corrupt,
+            report.quarantined,
+            report.restored,
+            report.purged,
+            report.quarantine_backlog,
+        )
+        return report

@@ -41,7 +41,7 @@ def tiny_jobs(count=2):
 
 class TestCounterWiring:
     def test_miss_then_hit_counters_through_a_batch(self, tmp_path):
-        service = CompilationService(cache=open_cache(str(tmp_path / "cache")))
+        service = CompilationService(cache=open_cache(f"disk:{tmp_path / 'cache'}"))
         jobs = tiny_jobs(2)
         service.compile_many(jobs, workers=1, executor="serial")
         snap = metrics.REGISTRY.snapshot()
@@ -58,7 +58,7 @@ class TestCounterWiring:
         assert snap["repro_stage_seconds"]["stage=simplify"]["count"] == 2
 
     def test_hit_and_dedup_elapsed_are_real_wall_clock(self, tmp_path):
-        service = CompilationService(cache=open_cache(str(tmp_path / "cache")))
+        service = CompilationService(cache=open_cache(f"disk:{tmp_path / 'cache'}"))
         (job,) = tiny_jobs(1)
         twin = CompilationJob("twin", job.terms(), job.options)
         events = []
@@ -75,7 +75,7 @@ class TestCounterWiring:
         assert outcomes["twin"].elapsed > 0.0
 
     def test_batch_summary_log_line(self, tmp_path, caplog):
-        service = CompilationService(cache=open_cache(str(tmp_path / "cache")))
+        service = CompilationService(cache=open_cache(f"disk:{tmp_path / 'cache'}"))
         with caplog.at_level(logging.INFO, logger="repro.service.service"):
             service.compile_many(tiny_jobs(2), workers=1, executor="serial")
         summary = [
@@ -110,7 +110,7 @@ class TestCrossProcessSpans:
         sink = trace.RecordingSink()
         trace.set_sink(sink)
         service = CompilationService(
-            cache=open_cache(str(tmp_path / "cache")),
+            cache=open_cache(f"disk:{tmp_path / 'cache'}"),
             executor=ProcessExecutor(max_workers=2, warmup=False),
         )
         results = service.compile_many(tiny_jobs(2), workers=2)
@@ -147,7 +147,7 @@ class TestCrossProcessSpans:
     def test_serial_batch_tree_without_fork(self, tmp_path):
         sink = trace.RecordingSink()
         trace.set_sink(sink)
-        service = CompilationService(cache=open_cache(str(tmp_path / "cache")))
+        service = CompilationService(cache=open_cache(f"disk:{tmp_path / 'cache'}"))
         service.compile_many(tiny_jobs(1), workers=1, executor="serial")
         trace.set_sink(None)
         names = [event["name"] for event in sink.events]
@@ -159,7 +159,7 @@ class TestCrossProcessSpans:
         # With tracing off, batches must not ship trace contexts to
         # workers (zero-cost guarantee, and forked children skip the
         # recording path entirely).
-        service = CompilationService(cache=open_cache(str(tmp_path / "cache")))
+        service = CompilationService(cache=open_cache(f"disk:{tmp_path / 'cache'}"))
         results = service.compile_many(tiny_jobs(1), workers=1, executor="serial")
         assert results[0].ok
         assert trace.get_sink() is None
@@ -197,7 +197,7 @@ class TestBatchTraceFile:
         code = cli_main(
             [
                 "batch", "LiH_frz_BK",
-                "--cache-dir", str(tmp_path / "cache"),
+                "--cache", f"disk:{tmp_path / 'cache'}",
                 "--workers", "1",
                 "--quiet",
                 "--trace-out", str(trace_path),

@@ -72,19 +72,18 @@ class TestRegistryMatchesFacade:
             assert via_spec.stage_timings.keys() == via_registry.stage_timings.keys()
 
     def test_cache_keys_identical_across_entry_points(self, uccsd_program):
-        # PhoenixCompiler(cache=...), CachingCompiler, and the service must
-        # address the same store entries.
+        # The key a PhoenixCompiler's own config fingerprint derives is the
+        # entry the service writes and serves.
         from repro.core.compiler import PhoenixCompiler
-        from repro.pipeline import CachingCompiler
 
         store = MemoryCacheStore()
-        PhoenixCompiler(cache=store).compile(list(uccsd_program))
-        assert len(store) == 1
-        wrapped = CachingCompiler(PhoenixCompiler(), store)
-        key = wrapped.cache_key(list(uccsd_program))
-        assert key in store
-
         service = CompilationService(cache=store)
+        assert not service.compile(list(uccsd_program)).cached
+        assert len(store) == 1
+        key = compilation_cache_key(
+            list(uccsd_program), PhoenixCompiler().config_fingerprint()
+        )
+        assert key in store
         assert service.compile(list(uccsd_program)).cached
 
 

@@ -8,13 +8,13 @@ from repro.paulis.fingerprint import program_fingerprint
 from repro.paulis.hamiltonian import Hamiltonian
 from repro.paulis.pauli import PauliTerm
 from repro.service.cache import (
-    DiskCacheStore,
     MemoryCacheStore,
     TieredCache,
     compilation_cache_key,
     open_cache,
 )
 from repro.service.registry import CompilerOptions
+from repro.service.shardcache import ShardedDiskCacheStore
 
 
 class TestProgramFingerprint:
@@ -88,8 +88,8 @@ class TestStores:
         if request.param == "memory":
             return MemoryCacheStore()
         if request.param == "disk":
-            return DiskCacheStore(tmp_path / "cache")
-        return TieredCache(disk=DiskCacheStore(tmp_path / "cache"))
+            return ShardedDiskCacheStore(tmp_path / "cache")
+        return TieredCache(disk=ShardedDiskCacheStore(tmp_path / "cache"))
 
     def test_get_put_delete_clear(self, store):
         assert store.get("a" * 64) is None
@@ -115,11 +115,11 @@ class TestStores:
 
     def test_disk_store_survives_reopen(self, tmp_path):
         root = tmp_path / "cache"
-        DiskCacheStore(root).put("k" * 64, self.PAYLOAD)
-        assert DiskCacheStore(root).get("k" * 64) == self.PAYLOAD
+        ShardedDiskCacheStore(root).put("k" * 64, self.PAYLOAD)
+        assert ShardedDiskCacheStore(root).get("k" * 64) == self.PAYLOAD
 
     def test_disk_store_rejects_path_traversal(self, tmp_path):
-        store = DiskCacheStore(tmp_path / "cache")
+        store = ShardedDiskCacheStore(tmp_path / "cache")
         with pytest.raises(ValueError):
             store.put("../escape", self.PAYLOAD)
 
@@ -132,7 +132,7 @@ class TestStores:
         assert "k2" in store and "k3" in store
 
     def test_tiered_promotes_disk_hits(self, tmp_path):
-        disk = DiskCacheStore(tmp_path / "cache")
+        disk = ShardedDiskCacheStore(tmp_path / "cache")
         disk.put("key", self.PAYLOAD)
         tiered = TieredCache(disk=disk)
         assert tiered.get("key") == self.PAYLOAD
@@ -140,9 +140,9 @@ class TestStores:
 
     def test_open_cache_memory_only_and_disk(self, tmp_path):
         assert open_cache(None).disk is None
-        cache = open_cache(tmp_path / "cache")
+        cache = open_cache(f"disk:{tmp_path / 'cache'}")
         cache.put("key", self.PAYLOAD)
-        assert open_cache(tmp_path / "cache").get("key") == self.PAYLOAD
+        assert open_cache(f"disk:{tmp_path / 'cache'}").get("key") == self.PAYLOAD
 
 
 class TestDegradation:
@@ -151,7 +151,7 @@ class TestDegradation:
     def test_put_io_error_degrades_to_a_dropped_write(self, tmp_path):
         from repro.service import faultlab
 
-        store = DiskCacheStore(tmp_path / "cache")
+        store = ShardedDiskCacheStore(tmp_path / "cache")
         faultlab.inject("cache.put", "disk-full", p=1.0)
         store.put("k" * 64, self.PAYLOAD)  # must not raise
         faultlab.clear()
@@ -161,7 +161,7 @@ class TestDegradation:
     def test_get_io_error_degrades_to_a_miss(self, tmp_path):
         from repro.service import faultlab
 
-        store = DiskCacheStore(tmp_path / "cache")
+        store = ShardedDiskCacheStore(tmp_path / "cache")
         store.put("k" * 64, self.PAYLOAD)
         faultlab.inject("cache.get", "permission", p=1.0)
         assert store.get("k" * 64) is None
@@ -175,7 +175,7 @@ class TestDegradation:
             "cache.disk", window=4, failure_threshold=0.5, min_calls=2,
             cooldown=3600.0,
         )
-        disk = DiskCacheStore(tmp_path / "cache")
+        disk = ShardedDiskCacheStore(tmp_path / "cache")
         disk.put("cold", self.PAYLOAD)
         tiered = TieredCache(disk=disk, breaker=breaker)
         tiered.put("warm", self.PAYLOAD)
@@ -190,8 +190,34 @@ class TestDegradation:
         assert disk.get("new") is None  # write never reached the disk tier
         assert tiered.get("new") == self.PAYLOAD
 
+    def test_memory_hit_leaves_the_disk_alone_while_breaker_is_open(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.service.resilience import CircuitBreaker
+
+        breaker = CircuitBreaker(
+            "cache.disk", window=4, failure_threshold=0.5, min_calls=2,
+            cooldown=3600.0,
+        )
+        disk = ShardedDiskCacheStore(tmp_path / "cache")
+        tiered = TieredCache(disk=disk, breaker=breaker)
+        tiered.put("warm", self.PAYLOAD)
+        touched = []
+        monkeypatch.setattr(disk, "touch", touched.append)
+
+        breaker.record_failure()
+        breaker.record_failure()
+        assert breaker.state == "open" and tiered.degraded
+        assert tiered.get("warm") == self.PAYLOAD
+        assert touched == []  # no disk access at all while degraded
+        assert breaker.state == "open"  # and no half-open probe spent
+
+        breaker.reset()
+        assert tiered.get("warm") == self.PAYLOAD
+        assert touched == ["warm"]
+
     def test_doctor_quarantines_and_purges(self, tmp_path):
-        store = DiskCacheStore(tmp_path / "cache")
+        store = ShardedDiskCacheStore(tmp_path / "cache")
         store.put("good" * 16, self.PAYLOAD)
         store.put("bad" * 22, self.PAYLOAD)
         store._path("bad" * 22).write_text("][", encoding="utf-8")
@@ -221,9 +247,9 @@ class TestUsage:
         assert usage["session"]["puts"] == 2
 
     def test_disk_usage_reports_bytes_and_entries(self, tmp_path):
-        store = DiskCacheStore(tmp_path / "cache")
-        store.put("k1", {"v": 1})
-        store.put("k2", {"v": [1, 2, 3]})
+        store = ShardedDiskCacheStore(tmp_path / "cache")
+        store.put("k1" * 32, {"v": 1})
+        store.put("k2" * 32, {"v": [1, 2, 3]})
         usage = store.usage()
         assert usage["entries"] == 2
         assert usage["total_bytes"] > 0
@@ -234,10 +260,10 @@ class TestUsage:
 
         tiered = TieredCache(
             memory=MemoryCacheStore(max_entries=8),
-            disk=DiskCacheStore(tmp_path / "cache"),
+            disk=ShardedDiskCacheStore(tmp_path / "cache"),
             breaker=CircuitBreaker("cache.test", min_calls=1, failure_threshold=0.1),
         )
-        tiered.put("k1", {"v": 1})
+        tiered.put("k1" * 32, {"v": 1})
         usage = tiered.usage()
         assert usage["memory"]["entries"] == 1
         assert usage["disk"]["entries"] == 1

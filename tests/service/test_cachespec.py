@@ -4,7 +4,6 @@ import pytest
 
 from repro.service.cache import (
     CacheStore,
-    DiskCacheStore,
     MemoryCacheStore,
     TieredCache,
     open_cache,
@@ -33,10 +32,13 @@ class TestParseSpec:
         assert parsed.disk_width == 32
         assert not parsed.has_remote
 
-    def test_bare_path_is_disk_shorthand(self):
-        parsed = parse_spec(".cache")
-        assert parsed.disk_path == ".cache"
-        assert parsed.disk_depth is None
+    def test_bare_path_is_rejected(self, tmp_path):
+        for bare in (".cache", "/var/cache/phoenix"):
+            with pytest.raises(ValueError, match=f"disk:{bare}"):
+                parse_spec(bare)
+        with pytest.raises(ValueError, match="disk:PATH"):
+            open_cache(str(tmp_path / "c"))
+        assert not (tmp_path / "c").exists()  # nothing built on the way
 
     def test_remote_with_timeout(self):
         parsed = parse_spec("http://cachehost:8078?timeout=0.5")
@@ -114,7 +116,7 @@ class TestCacheFromSpec:
 
     def test_open_cache_routes_through_the_spec_grammar(self, tmp_path):
         assert open_cache(None).disk is None
-        cache = open_cache(str(tmp_path / "c"))
+        cache = open_cache(f"disk:{tmp_path / 'c'}")
         assert isinstance(cache.disk, ShardedDiskCacheStore)
         remote = open_cache("http://127.0.0.1:8078")
         try:
@@ -130,8 +132,8 @@ class TestProtocolConformance:
         "build",
         [
             lambda tmp: MemoryCacheStore(),
-            lambda tmp: DiskCacheStore(tmp / "flat"),
-            lambda tmp: ShardedDiskCacheStore(tmp / "shard"),
+            lambda tmp: ShardedDiskCacheStore(tmp / "flat"),
+            lambda tmp: ShardedDiskCacheStore(tmp / "shard", depth=2, width=3),
             lambda tmp: TieredCache(disk=None),
             lambda tmp: RemoteCacheStore("http://127.0.0.1:1"),
         ],

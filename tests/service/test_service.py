@@ -5,7 +5,7 @@ import pytest
 from repro.core.compiler import PhoenixCompiler
 from repro.experiments.harness import default_compilers, run_suite
 from repro.paulis.pauli import PauliTerm
-from repro.service.cache import MemoryCacheStore, open_cache
+from repro.service.cache import open_cache
 from repro.service.registry import (
     CompilerOptions,
     compiler_names,
@@ -156,17 +156,10 @@ class TestCompilationService:
             )
 
     def test_disk_cache_shared_across_services(self, tiny_program, tmp_path):
-        first = CompilationService(cache=open_cache(tmp_path / "cache"))
+        first = CompilationService(cache=open_cache(f"disk:{tmp_path / 'cache'}"))
         first.compile(tiny_program)
-        second = CompilationService(cache=open_cache(tmp_path / "cache"))
+        second = CompilationService(cache=open_cache(f"disk:{tmp_path / 'cache'}"))
         assert second.compile(tiny_program).cached
-
-    def test_compiler_cache_hook_uses_same_keys(self, tiny_program):
-        # PhoenixCompiler(cache=...) and the service address the same store.
-        store = MemoryCacheStore()
-        PhoenixCompiler(cache=store).compile(tiny_program)
-        service = CompilationService(cache=store)
-        assert service.compile(tiny_program).cached
 
 
 class TestHarnessThroughService:

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from repro.serialize.jsonutil import canonical_json
-from repro.service.cache import DiskCacheStore, TieredCache, open_cache
+from repro.service.cache import TieredCache, open_cache
 from repro.service.shardcache import (
     LAYOUT_FILE,
     STALE_TMP_SECONDS,
@@ -32,18 +32,22 @@ def _entry_files(root):
 
 
 class TestLayout:
-    def test_default_layout_matches_flat_store(self, tmp_path):
-        """depth=1, width=2 must be byte-compatible with DiskCacheStore."""
-        flat = DiskCacheStore(tmp_path / "cache")
-        flat.put(KEY, {"value": 1})
-        sharded = ShardedDiskCacheStore(tmp_path / "cache")
-        assert sharded.get(KEY) == {"value": 1}
-        assert sharded._path(KEY) == flat._path(KEY)
+    def test_pre_shard_directory_still_reads(self, tmp_path):
+        """A ``root/<key[:2]>/<key>.json`` directory with plain ``json.dump``
+        bytes and no layout marker is read by the default store."""
+        root = tmp_path / "cache"
+        (root / KEY[:2]).mkdir(parents=True)
+        with (root / KEY[:2] / f"{KEY}.json").open("w", encoding="utf-8") as handle:
+            json.dump({"value": 1, "nested": {"b": 2, "a": 1}}, handle)
+        assert not (root / LAYOUT_FILE).exists()
 
-    def test_flat_store_reads_sharded_writes(self, tmp_path):
-        sharded = ShardedDiskCacheStore(tmp_path / "cache")
-        sharded.put(KEY, {"value": 2})
-        assert DiskCacheStore(tmp_path / "cache").get(KEY) == {"value": 2}
+        store = ShardedDiskCacheStore(root)
+        assert (store.depth, store.width) == (1, 2)
+        assert store.get(KEY) == {"value": 1, "nested": {"b": 2, "a": 1}}
+        assert store.stats.hits == 1
+        assert list(store.keys()) == [KEY]
+        report = store.doctor(repair=False)
+        assert (report.scanned, report.healthy, report.corrupt) == (1, 1, 0)
 
     def test_deeper_fanout_path(self, tmp_path):
         store = ShardedDiskCacheStore(tmp_path / "cache", depth=2, width=3)
@@ -133,17 +137,9 @@ class TestStoreSurface:
         store.get(KEY)
         assert store._path(KEY).stat().st_mtime > past + 500
 
-    def test_touch_on_hit_disabled(self, tmp_path):
-        store = ShardedDiskCacheStore(tmp_path / "cache", touch_on_hit=False)
-        store.put(KEY, {"value": 1})
-        past = time.time() - 1000
-        os.utime(store._path(KEY), (past, past))
-        store.get(KEY)
-        assert store._path(KEY).stat().st_mtime == pytest.approx(past)
-
     def test_memory_tier_hits_still_touch_disk_entry(self, tmp_path):
         """Promotion to memory must not freeze the disk mtime for LRU."""
-        cache = open_cache(tmp_path / "cache")
+        cache = open_cache(f"disk:{tmp_path / 'cache'}")
         cache.put(KEY, {"value": 1})
         path = cache.disk._path(KEY)
         past = time.time() - 1000
@@ -154,12 +150,12 @@ class TestStoreSurface:
         assert path.stat().st_mtime > past + 500
 
     def test_tiered_composition_with_memory_front(self, tmp_path):
-        cache = open_cache(tmp_path / "cache")
+        cache = open_cache(f"disk:{tmp_path / 'cache'}")
         assert isinstance(cache, TieredCache)
         assert isinstance(cache.disk, ShardedDiskCacheStore)
         cache.put(KEY, {"value": 9})
         # A fresh tier over the same directory hits disk, promotes to memory.
-        fresh = open_cache(tmp_path / "cache")
+        fresh = open_cache(f"disk:{tmp_path / 'cache'}")
         assert fresh.get(KEY) == {"value": 9}
         assert KEY in fresh.memory
 
@@ -265,7 +261,7 @@ def compile_workload_against_cache(root, spec):
     from repro.workloads.registry import workload_from_spec
 
     workload = workload_from_spec(spec)
-    service = CompilationService(cache=open_cache(root), executor="serial")
+    service = CompilationService(cache=open_cache(f"disk:{root}"), executor="serial")
     job = CompilationJob(workload.name, workload.to_terms(), CompilerOptions())
     result = service.compile_many([job], workers=1)[0]
     assert result.ok, result.error
