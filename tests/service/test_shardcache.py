@@ -32,6 +32,19 @@ def _entry_files(root):
 
 
 class TestLayout:
+    def test_default_layout_matches_flat_store(self, tmp_path):
+        """depth=1, width=2 is the flat ``root/<key[:2]>/<key>.json`` layout."""
+        store = ShardedDiskCacheStore(tmp_path / "cache")
+        assert (store.depth, store.width) == (1, 2)
+        assert store._path(KEY) == tmp_path / "cache" / KEY[:2] / f"{KEY}.json"
+
+    def test_flat_store_reads_sharded_writes(self, tmp_path):
+        """An entry written by the default store is plain JSON at the flat
+        path, so a reader that knows only the flat layout still finds it."""
+        ShardedDiskCacheStore(tmp_path / "cache").put(KEY, {"value": 2})
+        flat_path = tmp_path / "cache" / KEY[:2] / f"{KEY}.json"
+        assert json.loads(flat_path.read_text(encoding="utf-8")) == {"value": 2}
+
     def test_pre_shard_directory_still_reads(self, tmp_path):
         """A ``root/<key[:2]>/<key>.json`` directory with plain ``json.dump``
         bytes and no layout marker is read by the default store."""
