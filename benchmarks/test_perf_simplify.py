@@ -1,9 +1,10 @@
 """Perf — wall-clock of the fast Clifford2Q search engine vs the reference.
 
-Runs the Table I UCCSD suite through ``simplify_group`` with both the fast
-(incremental, bit-packed) engine and the reference (copy-and-rescore)
-engine, checks the outputs are bit-identical, and records the speedups in
-``benchmarks/results/perf_simplify_speedup.txt`` (human-readable) and
+Runs the Table I UCCSD suite through ``simplify_groups`` — the call the
+pipeline's simplify stage makes, one per program — with both the fast
+(incremental, bit-packed, batched across groups) engine and the reference
+(copy-and-rescore) engine, checks the outputs are bit-identical, and
+records the speedups in ``benchmarks/results/perf_simplify_speedup.txt`` (human-readable) and
 ``benchmarks/results/BENCH_simplify.json`` (machine-readable: suite,
 seconds, speedup) to track the perf trajectory across PRs.
 
@@ -23,18 +24,19 @@ import time
 
 from benchmarks.conftest import FULL_SUITE, RESULTS_DIR, write_report
 from repro.core.grouping import group_terms
-from repro.core.simplify import simplify_group
+from repro.core.simplify import simplify_groups
 from repro.experiments import format_table
 
 import pytest
 
 pytestmark = [pytest.mark.slow, pytest.mark.perf]
 
-#: Perf-smoke gate.  The smoke molecules measure ~11-13x over the
-#: reference engine, so a floor of 5x fails loudly once the fast engine
-#: loses more than ~2x of its advantage while keeping ample headroom for
-#: noisy CI runners (the ratio is contention-robust: both engines share
-#: the machine).
+#: Perf-smoke gate.  With a program's groups scored in one batch per epoch,
+#: the smoke molecules measure ~44-66x over the reference engine (~14-18x
+#: when each group was scored on its own), so a floor of 5x fails loudly
+#: once the fast engine loses most of its advantage while keeping ample
+#: headroom for noisy CI runners (the ratio is contention-robust: both
+#: engines share the machine).
 SMOKE_MIN_SPEEDUP = 5.0
 
 PERF_SMOKE = os.environ.get("REPRO_PERF_SMOKE", "0") not in ("0", "", "false")
@@ -50,7 +52,7 @@ def _term_keys(simplified):
 
 def _time_engine(groups, engine):
     start = time.perf_counter()
-    simplified = [simplify_group(group, engine=engine) for group in groups]
+    simplified = simplify_groups(groups, engine=engine)
     return time.perf_counter() - start, simplified
 
 
@@ -114,7 +116,7 @@ def test_perf_simplify_fast_vs_reference(uccsd_programs):
         rows,
         headers=["Benchmark", "#Pauli", "#Group", "#Clifford", "ref (s)", "fast (s)", "speedup"],
     )
-    print("\nPerf — simplify_group fast engine vs reference\n" + table)
+    print("\nPerf — simplify_groups fast engine vs reference\n" + table)
     # Only the full Table I run records the perf trajectory, so a default
     # tier-1 run cannot overwrite the committed numbers with a small slice.
     if FULL_SUITE and not PERF_SMOKE:

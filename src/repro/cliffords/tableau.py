@@ -10,9 +10,7 @@ cross-check the BSF update rules.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Tuple
-
-import numpy as np
+from typing import List, Tuple
 
 from repro.cliffords.conjugation import conjugate_pauli_by_gate
 from repro.paulis.pauli import PauliString

@@ -10,21 +10,37 @@ remaining rows are plain one- or two-qubit Pauli rotations.
 
 Search engines
 --------------
-Two provably-equivalent candidate scorers are available:
+:func:`simplify_groups` runs the search for all groups of a program at
+once, in lock-step epochs.  In each epoch every unfinished group peels its
+local rows and checks termination on its own; it then either joins the
+epoch's scoring batch or, once past its ``max_epochs`` budget, takes the
+guaranteed single-row fallback.  Groups are independent, so each one gets
+exactly the Clifford sequence it would get alone.  Two provably-equivalent
+candidate scorers are available:
 
-* ``engine="fast"`` (the default when the cost is Eq. (6)) scores all
-  ~9 * O(k^2) candidates incrementally: a candidate conjugation only
-  rewrites the two qubit columns it touches, so the engine packs every
-  column into ``np.uint64`` words (one word per column for groups of up to
-  64 rows), applies the sign-free tableau rules of all six generator kinds
-  to just those columns in batched numpy ops, and evaluates the Eq. (6)
-  cost through its closed-form column identity — O(rows) work per
-  candidate instead of a full-tableau copy plus an O(rows^2 * qubits)
-  rescore.  All candidate costs are exact integers (doubled), so the
-  arg-min reproduces the reference tie-breaking bit for bit.
-* ``engine="reference"`` is the original copy-and-rescore loop; it remains
-  the fallback for custom cost functions (e.g. the ablation study) and the
-  oracle for the equivalence property tests.
+* ``engine="fast"`` (the default when the cost is Eq. (6)) scores every
+  candidate of every group in the batch with *one* numpy pass per epoch.
+  IR groups are small (a few rows, a handful of candidate pairs), so a
+  per-group scorer would pay numpy's fixed per-call overhead once per
+  group and epoch; batching pays it once per epoch.  The groups share the
+  register width, so each one's qubit columns are packed into
+  ``np.uint64`` words (one word per column for groups of up to 64 rows),
+  padded to the batch's largest word count, and stacked into
+  ``(groups, qubits, words)`` arrays — the stacked symplectic-array idiom.
+  Candidate pairs come from the packed supports (two columns sharing a
+  row), so memory scales with groups x qubits x words.  A candidate
+  conjugation only rewrites the two columns it touches, so the sign-free
+  tableau rules of all nine orientations are applied to just those
+  columns and the Eq. (6) cost is evaluated through its closed-form column
+  identity — O(rows) work per candidate instead of a full-tableau copy
+  plus an O(rows^2 * qubits) rescore.  All costs are exact integers
+  (doubled), and each group takes its own first minimal candidate
+  (pair-major, orientation-minor), so the arg-min reproduces the reference
+  tie-breaking bit for bit.
+* ``engine="reference"`` is the original copy-and-rescore scan, run per
+  group inside the same epoch loop; it remains the path for custom cost
+  functions (e.g. the ablation study) and the oracle for the equivalence
+  property tests.
 
 Output structure
 ----------------
@@ -57,7 +73,7 @@ from repro.paulis.bsf import (
     clifford2q_postlude,
     clifford2q_prelude,
 )
-from repro.paulis.packed import pack_bits, popcount
+from repro.paulis.packed import WORD_BITS, pack_bits, popcount
 from repro.paulis.pauli import PauliTerm
 
 #: Hard cap on the number of Clifford2Q search epochs per group, relative to
@@ -113,25 +129,20 @@ class SimplifiedGroup:
 
 
 # ----------------------------------------------------------------------
-# Candidate enumeration (shared by both engines)
+# Candidate enumeration
 # ----------------------------------------------------------------------
-def _candidate_pair_arrays(support: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorised candidate pairs: both columns active, >= 1 shared row.
+def _candidate_pairs(bsf: BSF) -> List[Tuple[int, int]]:
+    """Qubit pairs worth trying: both columns active, sharing at least one row.
 
     ``support.T @ support`` counts, for every column pair, the rows on which
-    both columns are non-trivial; ``np.nonzero`` of its strict upper
-    triangle enumerates the pairs in the same row-major ``(a < b)`` order as
-    the original nested-loop scan.
+    both columns are non-trivial (so a shared row already implies both
+    columns are active); ``np.nonzero`` of its strict upper triangle
+    enumerates the pairs in row-major ``(a < b)`` order.  The reference
+    engine scans these; the fast engine derives the same pairs from its
+    packed columns.
     """
-    shared = support.T.astype(np.int64) @ support.astype(np.int64)
-    # shared > 0 already implies both columns are active (some row is
-    # non-trivial on both), so no separate activity mask is needed.
-    return np.nonzero(np.triu(shared > 0, k=1))
-
-
-def _candidate_pairs(bsf: BSF) -> List[Tuple[int, int]]:
-    """Qubit pairs worth trying: both columns active, sharing at least one row."""
-    a_idx, b_idx = _candidate_pair_arrays(bsf.x | bsf.z)
+    support = (bsf.x | bsf.z).astype(np.int64)
+    a_idx, b_idx = np.nonzero(np.triu(support.T @ support > 0, k=1))
     return [(int(a), int(b)) for a, b in zip(a_idx, b_idx)]
 
 
@@ -150,12 +161,16 @@ _ORIENTATIONS: Tuple[Tuple[str, bool], ...] = (
 )
 
 
+def _oriented(o: int, a: int, b: int) -> Clifford2Q:
+    """The candidate of orientation ``o`` on the qubit pair ``(a, b)``."""
+    kind, swapped = _ORIENTATIONS[o]
+    return Clifford2Q(kind, b, a) if swapped else Clifford2Q(kind, a, b)
+
+
 def _candidate_cliffords(pairs: Sequence[Tuple[int, int]]) -> List[Clifford2Q]:
-    cliffords: List[Clifford2Q] = []
-    for a, b in pairs:
-        for kind, swapped in _ORIENTATIONS:
-            cliffords.append(Clifford2Q(kind, b, a) if swapped else Clifford2Q(kind, a, b))
-    return cliffords
+    return [
+        _oriented(o, a, b) for a, b in pairs for o in range(len(_ORIENTATIONS))
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -224,77 +239,121 @@ def _orientation_matrices() -> np.ndarray:
 _ORIENTATION_MATS = _orientation_matrices()
 
 
+def _pack_columns(tableaux: Sequence[BSF]) -> Tuple[np.ndarray, ...]:
+    """Column-pack a batch of same-width tableaux into ``uint64`` words.
+
+    Returns ``(rows, xp, zp, w1, w2, n_nl)``: the row count of every
+    tableau, its x and z columns as ``(tableaux, qubits, words)`` words,
+    bit masks of its weight-1 and weight-2 rows as ``(tableaux, words)``,
+    and its number of non-local rows.  Every tableau's rows fill their own
+    run of whole words and the shorter runs are zero-padded to the longest,
+    so the padding bits are zero rows that no count sees.
+    """
+    num = len(tableaux)
+    rows = np.array([t.num_terms for t in tableaux], dtype=np.int64)
+    x = np.concatenate([t.x for t in tableaux])
+    z = np.concatenate([t.z for t in tableaux])
+    weights = np.count_nonzero(x | z, axis=1)
+    qubits = x.shape[1]
+
+    group_words = np.maximum(1, -(-rows // WORD_BITS))
+    word_start = np.cumsum(group_words) - group_words
+    row_group = np.repeat(np.arange(num), rows)
+    slot = (WORD_BITS * word_start - (np.cumsum(rows) - rows))[row_group] + np.arange(len(x))
+    bits = np.zeros((2 * qubits + 2, WORD_BITS * int(group_words.sum())), dtype=bool)
+    bits[:qubits, slot] = x.T
+    bits[qubits : 2 * qubits, slot] = z.T
+    bits[2 * qubits, slot] = weights == 1
+    bits[2 * qubits + 1, slot] = weights == 2
+    packed = pack_bits(bits)
+
+    word_group = np.repeat(np.arange(num), group_words)
+    words = np.zeros((len(bits), num, int(group_words.max())), dtype=np.uint64)
+    words[:, word_group, np.arange(len(word_group)) - word_start[word_group]] = packed
+    xp = words[:qubits].transpose(1, 0, 2)
+    zp = words[qubits : 2 * qubits].transpose(1, 0, 2)
+    n_nl = np.bincount(row_group, weights=weights > 1, minlength=num).astype(np.int64)
+    return rows, xp, zp, words[2 * qubits], words[2 * qubits + 1], n_nl
+
+
 def _candidate_scores2(
-    bsf: BSF,
-    support: Optional[np.ndarray] = None,
-    row_weights: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Doubled Eq. (6) costs of every candidate, scored incrementally.
+    tableaux: Sequence[BSF],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Doubled Eq. (6) costs of every candidate of every tableau, in one pass.
 
-    Returns ``(a_idx, b_idx, cost2)`` where ``cost2[p, o]`` is twice the
-    Eq. (6) cost of conjugating the tableau by orientation ``o`` (see
-    ``_ORIENTATIONS``) on pair ``(a_idx[p], b_idx[p])`` — an exact integer,
-    so comparisons carry no floating-point ambiguity.
+    The tableaux must share the register width.  Returns ``(t_idx, a_idx,
+    b_idx, cost2)``: candidate ``p`` is the qubit pair ``(a_idx[p],
+    b_idx[p])`` of tableau ``t_idx[p]``, and ``cost2[p, o]`` is twice the
+    Eq. (6) cost of conjugating that tableau by orientation ``o`` (see
+    ``_ORIENTATIONS``) on the pair — an exact integer, so comparisons carry
+    no floating-point ambiguity.  Candidates are tableau-major and, within
+    a tableau, in the row-major ``(a < b)`` order of the reference engine.
 
-    A candidate only rewrites its two columns, so each score is the epoch's
-    base cost plus a column-local delta:
+    A candidate only rewrites its two columns, so each score is its
+    tableau's base cost plus a column-local delta:
 
     * the pairwise OR-sums change only through the two columns' popcounts
       (closed-form identity, see :mod:`repro.core.cost`);
     * ``n_nl`` changes only by rows whose weight crosses 1, detected with
-      bit-packed masks of the weight-1/2/3 rows; and
+      bit-packed masks of the weight-1/2 rows; and
     * ``w_tot`` changes only by the two columns' activity.
     """
-    x, z = bsf.x, bsf.z
-    if support is None:
-        support = x | z
-    if row_weights is None:
-        row_weights = support.sum(axis=1)
-    rows = bsf.num_terms
-
-    a_idx, b_idx = _candidate_pair_arrays(support)
-    n_pairs = len(a_idx)
-    if n_pairs == 0:
-        return a_idx, b_idx, np.zeros((0, len(_ORIENTATIONS)), dtype=np.int64)
-
-    cs = np.count_nonzero(support, axis=0).astype(np.int64)
-    cx_cols = np.count_nonzero(x, axis=0).astype(np.int64)
-    cz_cols = np.count_nonzero(z, axis=0).astype(np.int64)
-    n_nl = int(np.count_nonzero(row_weights > 1))
-    w_tot = int(np.count_nonzero(cs))
-    num_cols = bsf.num_qubits
-    total_pairs = int(pairs_of(rows))
+    rows, xp, zp, w1_mask, w2_mask, n_nl = _pack_columns(tableaux)
+    sp = xp | zp
+    num, num_cols = sp.shape[0], sp.shape[1]
+    cs = popcount(sp).sum(axis=-1)  # (tableaux, qubits)
+    cx_cols = popcount(xp).sum(axis=-1)
+    cz_cols = popcount(zp).sum(axis=-1)
+    w_tot = np.count_nonzero(cs, axis=1)
     # Doubled base of the two pairwise Eq. (6) sums over *all* columns.
-    base_pair2 = int(
-        4 * total_pairs * num_cols
-        - 2 * pairs_of(rows - cs).sum()
-        - pairs_of(rows - cx_cols).sum()
-        - pairs_of(rows - cz_cols).sum()
+    free = rows[:, None]
+    base_pair2 = (
+        4 * pairs_of(rows) * num_cols
+        - 2 * pairs_of(free - cs).sum(axis=1)
+        - pairs_of(free - cx_cols).sum(axis=1)
+        - pairs_of(free - cz_cols).sum(axis=1)
     )
 
-    # Column-packed tableau: each qubit column becomes ceil(rows/64) words.
-    xp = pack_bits(x.T)
-    zp = pack_bits(z.T)
-    sp = xp | zp
-    w1_mask = pack_bits((row_weights == 1)[None, :])[0]
-    w2_mask = pack_bits((row_weights == 2)[None, :])[0]
+    # Candidate pairs: both columns share >= 1 row.  Only active columns can
+    # share one, so each tableau's active columns are moved to the front (in
+    # ascending order) and just those pairs are tested; inactive padding
+    # columns have empty words and never match.
+    active = cs > 0
+    width = int(np.count_nonzero(active, axis=1).max())
+    cols = np.argsort(~active, axis=1, kind="stable")[:, :width]
+    first, second = np.triu_indices(width, k=1)
+    a_cand, b_cand = cols[:, first], cols[:, second]
+    t_col = np.arange(num)[:, None]
+    shared = (sp[t_col, a_cand] & sp[t_col, b_cand]).any(axis=-1)
+    t_idx, c_idx = np.nonzero(shared)
+    a_idx, b_idx = a_cand[t_idx, c_idx], b_cand[t_idx, c_idx]
+    if len(t_idx) == 0:
+        return t_idx, a_idx, b_idx, np.zeros((0, len(_ORIENTATIONS)), dtype=np.int64)
 
-    both_before = sp[a_idx] & sp[b_idx]
-    active_ab = (cs[a_idx] > 0).astype(np.int64) + (cs[b_idx] > 0).astype(np.int64)
-    f_cs_old = pairs_of(rows - cs[a_idx]) + pairs_of(rows - cs[b_idx])
-    f_cx_old = pairs_of(rows - cx_cols[a_idx]) + pairs_of(rows - cx_cols[b_idx])
-    f_cz_old = pairs_of(rows - cz_cols[a_idx]) + pairs_of(rows - cz_cols[b_idx])
+    rows_p = rows[t_idx]
+    cs_a, cs_b = cs[t_idx, a_idx], cs[t_idx, b_idx]
+    both_before = sp[t_idx, a_idx] & sp[t_idx, b_idx]
+    active_ab = (cs_a > 0).astype(np.int64) + (cs_b > 0).astype(np.int64)
+    f_cs_old = pairs_of(rows_p - cs_a) + pairs_of(rows_p - cs_b)
+    f_cx_old = pairs_of(rows_p - cx_cols[t_idx, a_idx]) + pairs_of(
+        rows_p - cx_cols[t_idx, b_idx]
+    )
+    f_cz_old = pairs_of(rows_p - cz_cols[t_idx, a_idx]) + pairs_of(
+        rows_p - cz_cols[t_idx, b_idx]
+    )
 
     # Conjugate the gathered column words by all nine orientations at once:
     # output o,k is the XOR of the inputs selected by _ORIENTATION_MATS.
-    inputs = np.stack((xp[a_idx], zp[a_idx], xp[b_idx], zp[b_idx]))
-    out = np.zeros((len(_ORIENTATIONS), 4, n_pairs, inputs.shape[-1]), dtype=np.uint64)
+    inputs = np.stack(
+        (xp[t_idx, a_idx], zp[t_idx, a_idx], xp[t_idx, b_idx], zp[t_idx, b_idx])
+    )
+    out = np.zeros((len(_ORIENTATIONS),) + inputs.shape, dtype=np.uint64)
     for i in range(4):
         out[_ORIENTATION_MATS[:, :, i]] ^= inputs[i]
     xa2, za2, xb2, zb2 = out[:, 0], out[:, 1], out[:, 2], out[:, 3]
     sa2 = xa2 | za2
     sb2 = xb2 | zb2
-    cs_a2 = popcount(sa2).sum(axis=-1)  # (orientations, pairs)
+    cs_a2 = popcount(sa2).sum(axis=-1)  # (orientations, candidates)
     cs_b2 = popcount(sb2).sum(axis=-1)
 
     # Rows whose weight crosses the local (<= 1) threshold.  Conjugation by
@@ -303,64 +362,68 @@ def _candidate_scores2(
     # row's in-pair support can move 2 -> 1 (leave: weight-2 rows with both
     # columns before, exactly one after) or 1 -> 2 (enter: weight-1 rows
     # with both columns after) but never vanish.
-    leave = popcount(w2_mask & both_before & (sa2 ^ sb2)).sum(axis=-1)
-    enter = popcount(w1_mask & sa2 & sb2).sum(axis=-1)
-    n_nl2 = n_nl - leave + enter
+    leave = popcount(w2_mask[t_idx] & both_before & (sa2 ^ sb2)).sum(axis=-1)
+    enter = popcount(w1_mask[t_idx] & sa2 & sb2).sum(axis=-1)
+    n_nl2 = n_nl[t_idx] - leave + enter
     w_tot2 = (
-        w_tot
+        w_tot[t_idx]
         - active_ab
         + (cs_a2 > 0).astype(np.int64)
         + (cs_b2 > 0).astype(np.int64)
     )
 
     pair2 = (
-        base_pair2
-        + 2 * (f_cs_old - pairs_of(rows - cs_a2) - pairs_of(rows - cs_b2))
+        base_pair2[t_idx]
+        + 2 * (f_cs_old - pairs_of(rows_p - cs_a2) - pairs_of(rows_p - cs_b2))
         + (
             f_cx_old
-            - pairs_of(rows - popcount(xa2).sum(axis=-1))
-            - pairs_of(rows - popcount(xb2).sum(axis=-1))
+            - pairs_of(rows_p - popcount(xa2).sum(axis=-1))
+            - pairs_of(rows_p - popcount(xb2).sum(axis=-1))
         )
         + (
             f_cz_old
-            - pairs_of(rows - popcount(za2).sum(axis=-1))
-            - pairs_of(rows - popcount(zb2).sum(axis=-1))
+            - pairs_of(rows_p - popcount(za2).sum(axis=-1))
+            - pairs_of(rows_p - popcount(zb2).sum(axis=-1))
         )
     )
     cost2 = 2 * w_tot2 * n_nl2 * n_nl2 + pair2
-    return a_idx, b_idx, cost2.T
+    return t_idx, a_idx, b_idx, cost2.T
 
 
 def fast_candidate_costs(bsf: BSF) -> List[Tuple[Clifford2Q, float]]:
     """Every candidate Clifford with its incrementally-scored Eq. (6) cost.
 
     The costs are exact (the engine works in doubled-integer units), in the
-    same candidate order as the reference engine; used by the equivalence
-    property tests.
+    same candidate order as the reference engine; scored as a batch of one
+    tableau, and used by the equivalence property tests.
     """
-    a_idx, b_idx, cost2 = _candidate_scores2(bsf)
-    scored: List[Tuple[Clifford2Q, float]] = []
-    for p in range(len(a_idx)):
-        a, b = int(a_idx[p]), int(b_idx[p])
-        for o, (kind, swapped) in enumerate(_ORIENTATIONS):
-            clifford = Clifford2Q(kind, b, a) if swapped else Clifford2Q(kind, a, b)
-            scored.append((clifford, cost2[p, o] / 2.0))
-    return scored
+    _, a_idx, b_idx, cost2 = _candidate_scores2([bsf])
+    return [
+        (_oriented(o, int(a), int(b)), cost2[p, o] / 2.0)
+        for p, (a, b) in enumerate(zip(a_idx, b_idx))
+        for o in range(len(_ORIENTATIONS))
+    ]
 
 
-def _best_clifford_fast(
-    bsf: BSF, support: np.ndarray, row_weights: np.ndarray
-) -> Optional[Clifford2Q]:
-    """Arg-min candidate under Eq. (6); ties resolve to the first candidate,
-    matching the reference engine's strict-improvement scan."""
-    a_idx, b_idx, cost2 = _candidate_scores2(bsf, support, row_weights)
-    if len(a_idx) == 0:
-        return None
-    flat = int(np.argmin(cost2))  # row-major: pair-major, orientation-minor
-    p, o = divmod(flat, cost2.shape[1])
-    kind, swapped = _ORIENTATIONS[o]
-    a, b = int(a_idx[p]), int(b_idx[p])
-    return Clifford2Q(kind, b, a) if swapped else Clifford2Q(kind, a, b)
+def _best_cliffords_fast(tableaux: Sequence[BSF]) -> List[Clifford2Q]:
+    """Each tableau's arg-min candidate under Eq. (6), from one scorer call.
+
+    Ties resolve to the tableau's first minimal candidate in pair-major,
+    orientation-minor order, matching the reference engine's
+    strict-improvement scan.  Every tableau must have a candidate, which
+    holds after the peel: a non-local row spans at least one pair.
+    """
+    t_idx, a_idx, b_idx, cost2 = _candidate_scores2(tableaux)
+    tableau_ids = np.arange(len(tableaux))
+    starts = np.searchsorted(t_idx, tableau_ids)
+    best = np.minimum.reduceat(cost2.min(axis=1), starts)
+    hits = np.flatnonzero(cost2 == best[t_idx][:, None])  # row-major order
+    first = hits[np.searchsorted(t_idx[hits // len(_ORIENTATIONS)], tableau_ids)]
+    pairs, orientations = np.divmod(first, len(_ORIENTATIONS))
+    return [
+        _oriented(int(o), int(a_idx[p]), int(b_idx[p]))
+        for p, o in zip(pairs, orientations)
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -414,18 +477,78 @@ def _fallback_clifford(bsf: BSF) -> Clifford2Q:
     return Clifford2Q(kind, a, b)
 
 
-def simplify_group(
-    group: IRGroup,
+class _Search:
+    """One group's Algorithm 1 state while the lock-step epochs run."""
+
+    __slots__ = ("result", "bsf", "row_ids", "max_epochs", "hard_limit", "level")
+
+    def __init__(self, group: IRGroup, max_epochs: Optional[int]):
+        if not group.terms:
+            raise ValueError("cannot simplify an empty IR group")
+        self.bsf = BSF.from_terms(group.terms)
+        self.row_ids = list(range(len(group.terms)))
+        self.result = SimplifiedGroup(group=group)
+        if max_epochs is None:
+            max_epochs = max(4, _MAX_EPOCH_FACTOR * self.bsf.num_qubits)
+        self.max_epochs = max_epochs
+        # The fallback reduces one row's weight per epoch, so it needs at most
+        # (rows x qubits) further epochs after the greedy budget is exhausted.
+        self.hard_limit = max_epochs + 2 * self.bsf.num_terms * self.bsf.num_qubits + 8
+        self.level = SimplificationLevel()
+
+    def peel(self) -> bool:
+        """Start an epoch: peel local rows; True once the group is finished."""
+        bsf = self.bsf
+        support = bsf.x | bsf.z
+        if int(np.count_nonzero(support.any(axis=0))) <= 2:
+            return self._finish()
+        level = self.level = SimplificationLevel()
+        # Peel local rows (they are bare 1Q rotations).
+        local_mask = support.sum(axis=1) <= 1
+        if np.any(local_mask):
+            level.local_terms = bsf.select_rows(local_mask).to_terms()
+            level.local_indices = [self.row_ids[i] for i in np.flatnonzero(local_mask)]
+            keep = ~local_mask
+            self.bsf = bsf.select_rows(keep)
+            self.row_ids = [self.row_ids[i] for i in np.flatnonzero(keep)]
+            if int(np.count_nonzero(support[keep].any(axis=0))) <= 2:
+                self.result.levels.append(level)
+                return self._finish()
+        return False
+
+    def apply(self, clifford: Clifford2Q, conjugated: Optional[BSF] = None) -> None:
+        """End the epoch with ``clifford`` (``conjugated``: the tableau after it)."""
+        if conjugated is None:
+            self.bsf.apply_clifford2q(clifford.kind, clifford.control, clifford.target)
+        else:
+            self.bsf = conjugated
+        self.level.clifford = clifford
+        result = self.result
+        result.levels.append(self.level)
+        result.epochs += 1
+        if result.epochs > self.hard_limit:  # pragma: no cover - double safety net
+            raise RuntimeError("BSF simplification failed to terminate")
+
+    def _finish(self) -> bool:
+        self.result.final_terms = self.bsf.to_terms()
+        self.result.final_indices = list(self.row_ids)
+        return True
+
+
+def simplify_groups(
+    groups: Sequence[IRGroup],
     max_epochs: Optional[int] = None,
     cost_function=bsf_cost,
     engine: str = "auto",
-) -> SimplifiedGroup:
-    """Run Algorithm 1 on one IR group.
+) -> List[SimplifiedGroup]:
+    """Run Algorithm 1 on every IR group of a program, in lock-step epochs.
 
     ``engine`` selects the candidate scorer: ``"fast"`` (incremental,
-    bit-packed), ``"reference"`` (copy-and-rescore), or ``"auto"`` (fast
-    when the cost is the stock Eq. (6), reference otherwise).  Both engines
-    choose bit-identical Clifford sequences.
+    bit-packed, one scorer call per epoch for all groups), ``"reference"``
+    (copy-and-rescore per group), or ``"auto"`` (fast when the cost is the
+    stock Eq. (6), reference otherwise).  Both engines choose bit-identical
+    Clifford sequences, and each group's result is the one it would get
+    alone.  The groups must share the register width.
     """
     if engine not in ("auto", "fast", "reference"):
         raise ValueError(f"unknown simplify engine {engine!r}")
@@ -435,61 +558,37 @@ def simplify_group(
             "engine='auto' or 'reference' for custom cost functions"
         )
     use_fast = engine == "fast" or (engine == "auto" and cost_function is bsf_cost)
-    terms = group.terms
-    if not terms:
-        raise ValueError("cannot simplify an empty IR group")
-    bsf = BSF.from_terms(terms)
-    row_ids = list(range(len(terms)))
-    result = SimplifiedGroup(group=group)
-    if max_epochs is None:
-        max_epochs = max(4, _MAX_EPOCH_FACTOR * bsf.num_qubits)
-    # The fallback reduces one row's weight per epoch, so it needs at most
-    # (rows x qubits) further epochs after the greedy budget is exhausted.
-    hard_limit = max_epochs + 2 * bsf.num_terms * bsf.num_qubits + 8
+    searches = [_Search(group, max_epochs) for group in groups]
 
-    epochs = 0
-    while True:
-        # One support/weight computation per epoch, threaded through the
-        # peel, the termination checks, and the candidate scorer.
-        support = bsf.x | bsf.z
-        if int(np.count_nonzero(support.any(axis=0))) <= 2:
-            break
-        level = SimplificationLevel()
-        # Peel local rows (they are bare 1Q rotations).
-        row_weights = support.sum(axis=1)
-        local_mask = row_weights <= 1
-        if np.any(local_mask):
-            local_bsf = bsf.select_rows(local_mask)
-            level.local_terms = local_bsf.to_terms()
-            level.local_indices = [row_ids[i] for i in np.flatnonzero(local_mask)]
-            keep = ~local_mask
-            bsf = bsf.select_rows(keep)
-            row_ids = [row_ids[i] for i in np.flatnonzero(keep)]
-            support = support[keep]
-            row_weights = row_weights[keep]
-        if int(np.count_nonzero(support.any(axis=0))) <= 2:
-            result.levels.append(level)
-            break
-
-        if epochs < max_epochs:
-            if use_fast:
-                clifford = _best_clifford_fast(bsf, support, row_weights)
-                bsf.apply_clifford2q(clifford.kind, clifford.control, clifford.target)
+    running = searches
+    while running:
+        unfinished: List[_Search] = []
+        batch: List[_Search] = []
+        for search in running:
+            if search.peel():
+                continue
+            unfinished.append(search)
+            if search.result.epochs >= search.max_epochs:
+                # Greedy budget exhausted: fall back to guaranteed single-row
+                # weight reduction until the tableau is small enough.
+                search.apply(_fallback_clifford(search.bsf))
+            elif use_fast:
+                batch.append(search)
             else:
-                clifford, bsf = _best_clifford_reference(bsf, cost_function)
-        else:
-            # Greedy budget exhausted: fall back to guaranteed single-row
-            # weight reduction until the tableau is small enough.
-            clifford = _fallback_clifford(bsf)
-            bsf.apply_clifford2q(clifford.kind, clifford.control, clifford.target)
+                search.apply(*_best_clifford_reference(search.bsf, cost_function))
+        if batch:
+            cliffords = _best_cliffords_fast([search.bsf for search in batch])
+            for search, clifford in zip(batch, cliffords):
+                search.apply(clifford)
+        running = unfinished
+    return [search.result for search in searches]
 
-        level.clifford = clifford
-        result.levels.append(level)
-        epochs += 1
-        if epochs > hard_limit:  # pragma: no cover - double safety net
-            raise RuntimeError("BSF simplification failed to terminate")
 
-    result.final_terms = bsf.to_terms()
-    result.final_indices = list(row_ids)
-    result.epochs = epochs
-    return result
+def simplify_group(
+    group: IRGroup,
+    max_epochs: Optional[int] = None,
+    cost_function=bsf_cost,
+    engine: str = "auto",
+) -> SimplifiedGroup:
+    """Run Algorithm 1 on one IR group (a batch of one, see :func:`simplify_groups`)."""
+    return simplify_groups([group], max_epochs, cost_function, engine)[0]

@@ -17,9 +17,10 @@ is validated against dense-matrix conjugation in the test suite.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from repro.paulis.pauli import PauliString, PauliTerm
 
@@ -84,8 +85,8 @@ class BSF:
         self,
         x: np.ndarray,
         z: np.ndarray,
-        coefficients: Optional[Sequence[float]] = None,
-        signs: Optional[Sequence[int]] = None,
+        coefficients: Optional[ArrayLike] = None,
+        signs: Optional[ArrayLike] = None,
     ):
         self.x = np.array(x, dtype=bool, copy=True)
         self.z = np.array(z, dtype=bool, copy=True)

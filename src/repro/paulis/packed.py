@@ -13,7 +13,8 @@ Two packing orientations are used:
   each tableau row into ``ceil(num_qubits / 64)`` words (the
   :class:`PackedBSF` layout) and ``pack_bits(x.T)`` packs each *column*
   into ``ceil(num_terms / 64)`` words (the candidate-scoring layout, where
-  a whole column of a typical IR group fits in a single word).
+  a whole column of a typical IR group fits in a single word; the search
+  packs the columns of a whole batch of groups in one call).
 * :func:`popcount` counts set bits per word, vectorised over arrays.
 """
 
@@ -22,6 +23,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 WORD_BITS = 64
 
@@ -106,8 +108,8 @@ class PackedBSF:
         x: np.ndarray,
         z: np.ndarray,
         num_qubits: int,
-        coefficients: Optional[Sequence[float]] = None,
-        signs: Optional[Sequence[int]] = None,
+        coefficients: Optional[ArrayLike] = None,
+        signs: Optional[ArrayLike] = None,
     ):
         self.x = np.array(x, dtype=np.uint64, copy=True)
         self.z = np.array(z, dtype=np.uint64, copy=True)
@@ -132,8 +134,8 @@ class PackedBSF:
         cls,
         x: np.ndarray,
         z: np.ndarray,
-        coefficients: Optional[Sequence[float]] = None,
-        signs: Optional[Sequence[int]] = None,
+        coefficients: Optional[ArrayLike] = None,
+        signs: Optional[ArrayLike] = None,
     ) -> "PackedBSF":
         x = np.asarray(x, dtype=bool)
         return cls(pack_bits(x), pack_bits(z), x.shape[1], coefficients, signs)

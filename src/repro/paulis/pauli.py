@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence, Tuple
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from repro.utils.maths import kron_all
 
@@ -49,7 +50,7 @@ class PauliString:
 
     __slots__ = ("x", "z", "sign")
 
-    def __init__(self, x: Sequence[bool], z: Sequence[bool], sign: int = 1):
+    def __init__(self, x: ArrayLike, z: ArrayLike, sign: int = 1):
         self.x = np.asarray(x, dtype=bool).copy()
         self.z = np.asarray(z, dtype=bool).copy()
         if self.x.shape != self.z.shape or self.x.ndim != 1:
@@ -266,8 +267,8 @@ class PauliTerm:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PauliTerm):
             return NotImplemented
-        return self.string == other.string and np.isclose(
-            self.coefficient, other.coefficient
+        return self.string == other.string and bool(
+            np.isclose(self.coefficient, other.coefficient)
         )
 
     def __repr__(self) -> str:

@@ -32,7 +32,7 @@ from typing import List
 from repro.core.emission import groups_to_circuit
 from repro.core.grouping import group_terms
 from repro.core.ordering import order_groups
-from repro.core.simplify import simplify_group
+from repro.core.simplify import simplify_groups
 from repro.hardware.routing.sabre import route_circuit
 from repro.metrics.circuit_metrics import circuit_metrics
 from repro.paulis.pauli import PauliTerm
@@ -57,10 +57,9 @@ class SimplifyStage:
     name = "simplify"
 
     def run(self, context: CompileContext) -> None:
-        engine = context.options.simplify_engine
-        context.groups = [
-            simplify_group(group, engine=engine) for group in context.groups
-        ]
+        context.groups = simplify_groups(
+            context.groups, engine=context.options.simplify_engine
+        )
 
 
 class OrderStage:

@@ -301,6 +301,11 @@ class TieredCache:
         return value
 
     def put(self, key: str, value: Dict[str, Any]) -> None:
+        if self.disk is not None:
+            # A key the disk layout rejects must fail before any tier keeps
+            # it, breaker open or not: otherwise the put raises yet memory
+            # goes on serving the entry.
+            self.disk.check_key(key)
         self.memory.put(key, value)
         if self._disk_ready():
             self.disk.put(key, value)

@@ -172,7 +172,8 @@ class ShardedDiskCacheStore:
     def _entry_glob(self) -> str:
         return "/".join(["*"] * self.depth) + "/*.json"
 
-    def _path(self, key: str) -> Path:
+    def check_key(self, key: str) -> None:
+        """Raise ``ValueError`` unless ``key`` names a file in this layout."""
         if not key or any(ch in key for ch in "/\\"):
             raise ValueError(f"invalid cache key {key!r}")
         if len(key) < self.depth * self.width + 1:
@@ -180,6 +181,9 @@ class ShardedDiskCacheStore:
                 f"cache key {key!r} is too short for a depth={self.depth}, "
                 f"width={self.width} shard layout"
             )
+
+    def _path(self, key: str) -> Path:
+        self.check_key(key)
         shard = self.root
         for level in range(self.depth):
             shard = shard / key[level * self.width : (level + 1) * self.width]

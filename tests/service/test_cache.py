@@ -216,6 +216,37 @@ class TestDegradation:
         assert tiered.get("warm") == self.PAYLOAD
         assert touched == ["warm"]
 
+    @pytest.mark.parametrize("breaker_open", [False, True])
+    @pytest.mark.parametrize("key", ["k1", "", "a/bcdef"])
+    def test_tiered_put_rejects_a_bad_disk_key_in_every_tier(
+        self, tmp_path, key, breaker_open
+    ):
+        from repro.service.resilience import CircuitBreaker
+
+        breaker = CircuitBreaker(
+            "cache.disk", window=4, failure_threshold=0.5, min_calls=2,
+            cooldown=3600.0,
+        )
+        tiered = TieredCache(
+            disk=ShardedDiskCacheStore(tmp_path / "cache"), breaker=breaker
+        )
+        tiered.put("warm", self.PAYLOAD)
+        if breaker_open:
+            breaker.record_failure()
+            breaker.record_failure()
+            assert tiered.degraded
+        entries = len(tiered.memory)
+        with pytest.raises(ValueError):
+            tiered.put(key, self.PAYLOAD)
+        assert len(tiered.memory) == entries
+        assert tiered.memory.get(key) is None
+        if breaker_open:
+            assert tiered.get(key) is None  # the disk tier is skipped: a miss
+        else:
+            with pytest.raises(ValueError):  # the disk tier rejects it again
+                tiered.get(key)
+        assert tiered.stats.puts == 1
+
     def test_doctor_quarantines_and_purges(self, tmp_path):
         store = ShardedDiskCacheStore(tmp_path / "cache")
         store.put("good" * 16, self.PAYLOAD)
